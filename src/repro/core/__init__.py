@@ -103,7 +103,6 @@ from repro.core.service import (
     openhouse_sharded_pipeline,
 )
 from repro.core.sharding import (
-    PIPELINE_WORKER_MODES,
     ShardedCycleReport,
     ShardedPipeline,
     shard_for_key,
@@ -177,7 +176,6 @@ __all__ = [
     "Objective",
     "OffPeakScheduler",
     "OptimizeAfterWriteHook",
-    "PIPELINE_WORKER_MODES",
     "ParallelScheduler",
     "Parameter",
     "ParetoFrontPolicy",

@@ -183,10 +183,13 @@ class SharedArrayBlock:
                 self._views = dict(self._inline)
             else:
                 if self._shm is None:
-                    # Attaching from a pool worker: the resource tracker is
-                    # shared with the forking coordinator, so the extra
-                    # register is idempotent and the coordinator's unlink
-                    # clears it — no double-unlink, no shutdown warnings.
+                    # Attaching from a pool worker registers the segment
+                    # again.  That is idempotent only because WorkerPool
+                    # starts the coordinator's resource tracker before it
+                    # forks, so the worker shares it and the coordinator's
+                    # unlink clears the entry — a worker forked earlier
+                    # would start its own tracker and report the segment
+                    # as leaked at exit.
                     self._shm = shared_memory.SharedMemory(name=self._shm_name)
                 buf = self._shm.buf
                 self._views = {

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import abc
 import threading
-import warnings
 
 from repro.catalog.catalog import Catalog
 from repro.catalog.snapshot import CatalogObservationSlice, build_candidate_statistics
@@ -51,16 +50,6 @@ class Connector(abc.ABC):
     #: caches).  The pipeline then skips trait recomputation for
     #: candidates that already carry every registered trait.
     reuses_candidates = False
-
-    #: True when this connector can split observation into local cache
-    #: hits plus a *picklable* :class:`~repro.core.workers.ShardWorkSpec`
-    #: (:meth:`export_shard_work` / :meth:`merge_shard_result`) — the
-    #: contract process-mode shard workers require.  Connectors whose
-    #: observation reads live, unpicklable state (e.g. a catalog of open
-    #: tables) leave this False and stay on the thread-pool fallback.
-    #: Superseded by :meth:`worker_transport_kinds` (kept one release for
-    #: introspection compatibility).
-    supports_worker_observe = False
 
     @abc.abstractmethod
     def list_candidates(self, strategy: str = "table") -> list[CandidateKey]:
@@ -139,34 +128,25 @@ class Connector(abc.ABC):
     # :meth:`worker_transport`, which (a) resolves cache hits locally and
     # snapshots the miss inputs into a picklable spec, then (b) merges the
     # worker's result — candidates or a trait matrix, plus a cache delta —
-    # back in.  The export/merge/apply method trio below is the *pickle*
-    # encoding of that contract; third-party connectors implementing only
-    # the trio are wrapped into a deprecated
-    # :class:`~repro.core.transport.LegacyPickleTransport`.
+    # back in through :meth:`store_worker_observations`.  A connector opts
+    # in by advertising kinds in :meth:`worker_transport_kinds` and
+    # providing each kind's format-specific encoder: ``export_shard_work``
+    # for ``pickle``, ``export_columnar`` for ``columnar``.
 
     def worker_transport_kinds(self) -> tuple[str, ...]:
         """Transport kinds this connector speaks, in preference order.
 
-        Empty means no process-worker support (thread-pool fallback).
-        The base implementation detects the legacy method trio and
-        advertises ``("pickle",)`` for it; connectors with native
-        transport support override this alongside
-        :meth:`worker_transport`.
+        Empty (the default) means no process-worker support: the sharded
+        plane keeps such connectors on the thread pool.
         """
-        from repro.core.transport import LEGACY_WORKER_METHODS
-
-        overridden = any(
-            getattr(type(self), name, None) is not getattr(Connector, name)
-            for name in LEGACY_WORKER_METHODS
-        )
-        return ("pickle",) if overridden else ()
+        return ()
 
     def worker_transport(self, kind: str | None = None):
         """Build the :class:`~repro.core.transport.WorkerTransport` to use.
 
         Args:
             kind: requested transport kind, or None for the connector's
-                preferred one.
+                preferred (first advertised) one.
 
         Returns:
             A transport instance, or None when this connector cannot feed
@@ -174,40 +154,32 @@ class Connector(abc.ABC):
 
         Raises:
             ValidationError: when ``kind`` is requested but not spoken.
-
-        The base implementation only serves the deprecation shim: a
-        subclass that overrode the legacy method trio (and nothing else)
-        gets a :class:`~repro.core.transport.LegacyPickleTransport` plus a
-        :class:`DeprecationWarning` pointing at this method.
         """
         kinds = self.worker_transport_kinds()
         if not kinds:
             return None
-        if kind is not None and kind not in kinds:
+        if kind is None:
+            kind = kinds[0]
+        elif kind not in kinds:
             raise ValidationError(
                 f"{type(self).__name__} does not speak the {kind!r} worker "
                 f"transport (supported: {kinds})"
             )
-        from repro.core.transport import LegacyPickleTransport
+        from repro.core.transport import TRANSPORT_CLASSES
 
-        warnings.warn(
-            f"{type(self).__name__} implements the legacy worker-observe "
-            "method trio (export_shard_work/merge_shard_result/"
-            "apply_shard_delta); override Connector.worker_transport to "
-            "return a WorkerTransport instead — the implicit adapter will "
-            "be removed in the next release",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return LegacyPickleTransport(self)
+        return TRANSPORT_CLASSES[kind](self)
 
     def store_worker_observations(self, delta, candidates: list[Candidate]) -> None:
-        """Absorb worker observations (rebuilt coordinator-side) into the cache.
+        """Absorb worker observations into the cache.
 
-        The columnar transport's delta path: ``candidates`` are position-
-        aligned with ``delta`` and already oriented.  Candidate-reusing
-        caches store the candidates themselves, statistics caches their
-        statistics.
+        Every transport's delta path: ``candidates`` are position-aligned
+        with ``delta`` (shipped back by a pickle worker, or rebuilt
+        coordinator-side by the columnar transport) and already oriented.
+        Candidate-reusing caches store the candidates themselves,
+        statistics caches their statistics.  Applying the delta keeps
+        process-mode cycles incremental: the worker's freshness tokens land
+        in the coordinator's cache, so the next cycle's hit pass sees the
+        observation as if it had happened here.
         """
         cache = self.stats_cache
         if cache is None:
@@ -216,58 +188,6 @@ class Connector(abc.ABC):
             cache.apply_delta(delta, candidates)
         else:
             cache.apply_delta(delta, [c.statistics for c in candidates])
-
-    def export_shard_work(self, keys: list[CandidateKey], shard_index: int, traits):
-        """Split ``keys`` into local hits and a picklable miss spec.
-
-        Args:
-            keys: the shard's candidate keys, in generation order.
-            shard_index: which shard the work belongs to.
-            traits: the shard pipeline's
-                :class:`~repro.core.traits.TraitRegistry` (shipped in the
-                spec — workers orient what they observe).
-
-        Returns:
-            ``(placed, spec)`` — ``placed`` is a candidate list with
-            ``None`` holes at miss positions, ``spec`` the
-            :class:`~repro.core.workers.ShardWorkSpec` covering the holes
-            in order (``None`` when everything hit).
-
-        Raises:
-            ValidationError: connectors without worker-observe support.
-        """
-        raise ValidationError(
-            f"{type(self).__name__} cannot export shard work for process "
-            "workers (supports_worker_observe is False); run the sharded "
-            "pipeline with workers='threads'"
-        )
-
-    def merge_shard_result(self, placed: list, result) -> list[Candidate]:
-        """Fill ``placed``'s holes from a worker result and merge its cache delta.
-
-        Raises:
-            ValidationError: connectors without worker-observe support.
-        """
-        raise ValidationError(
-            f"{type(self).__name__} cannot merge shard worker results "
-            "(supports_worker_observe is False)"
-        )
-
-    def apply_shard_delta(self, result) -> None:
-        """Replay a worker result's cache delta without filling holes.
-
-        The decide-in-worker path: the worker returns only the *selected*
-        candidates (position-aligned with the delta), so there is nothing
-        to merge into a placed list — the coordinator just absorbs the
-        cache updates.
-
-        Raises:
-            ValidationError: connectors without worker-observe support.
-        """
-        raise ValidationError(
-            f"{type(self).__name__} cannot apply shard worker cache deltas "
-            "(supports_worker_observe is False)"
-        )
 
 
 class LstConnector(Connector):
@@ -303,25 +223,11 @@ class LstConnector(Connector):
     :meth:`collect_statistics` API keeps the event/TTL-only trust model.
     """
 
-    #: Observation snapshots to a frozen, picklable
-    #: :class:`~repro.catalog.snapshot.CatalogObservationSlice`, so this
-    #: connector can feed process-mode shard workers.
-    supports_worker_observe = True
-
     def worker_transport_kinds(self) -> tuple[str, ...]:
+        # Observation snapshots to frozen, picklable slices (pickle) or
+        # shared-memory arrays (columnar), so this connector can feed
+        # process-mode shard workers.
         return ("columnar", "pickle")
-
-    def worker_transport(self, kind: str | None = None):
-        from repro.core.transport import ColumnarTransport, PickleTransport
-
-        if kind in (None, "columnar"):
-            return ColumnarTransport(self)
-        if kind == "pickle":
-            return PickleTransport(self)
-        raise ValidationError(
-            f"LstConnector does not speak the {kind!r} worker transport "
-            f"(supported: {self.worker_transport_kinds()})"
-        )
 
     def __init__(
         self,
@@ -700,34 +606,3 @@ class LstConnector(Connector):
             transport="columnar",
         )
         return placed, spec
-
-    def apply_shard_delta(self, result) -> None:
-        """Replay a worker result's cache delta into whichever cache kind is wired.
-
-        Version compatibility is the pool handshake's job
-        (:meth:`~repro.core.workers.WorkerPool.negotiate`), not a
-        per-result check.
-        """
-        cache = self.stats_cache
-        if cache is None:
-            return
-        if self._dense:
-            cache.apply_delta(result.cache_delta, result.candidates)
-        else:
-            cache.apply_delta(
-                result.cache_delta, [c.statistics for c in result.candidates]
-            )
-
-    def merge_shard_result(
-        self, placed: list[Candidate | None], result
-    ) -> list[Candidate]:
-        """Fill the miss holes from a worker's result; replay its cache delta."""
-        holes = sum(1 for candidate in placed if candidate is None)
-        if holes != len(result.candidates):
-            raise ValidationError(
-                f"shard result carries {len(result.candidates)} candidates "
-                f"for {holes} miss positions"
-            )
-        self.apply_shard_delta(result)
-        fill = iter(result.candidates)
-        return [c if c is not None else next(fill) for c in placed]

@@ -39,9 +39,10 @@ _FIELDS = (
     ("day-of-week", 0, 7),
 )
 
-#: Search horizon: a spec with no matching time within this many minutes
-#: (4 years — covers Feb 29) is rejected as unsatisfiable.
-_MAX_SEARCH_MINUTES = 4 * 366 * 24 * 60
+#: Search horizon in seconds of calendar time: a spec with no matching time
+#: within 8 years is rejected as unsatisfiable.  Eight years is the longest
+#: gap between two Feb 29s (2096 → 2104, as 2100 is no leap year).
+_MAX_SEARCH_SECONDS = 8 * 366 * 24 * 60 * 60
 
 
 def _parse_field(text: str, name: str, lo: int, hi: int) -> tuple[frozenset[int], bool]:
@@ -185,33 +186,29 @@ class CronSchedule:
         """
         # Start at the next whole minute boundary after ts.
         t = (int(ts) // 60 + 1) * 60
-        searched = 0
-        while searched < _MAX_SEARCH_MINUTES:
+        horizon = t + _MAX_SEARCH_SECONDS
+        while t <= horizon:
             lt = time.localtime(t)
             if lt.tm_mon not in self.months:
                 # First minute of the next month.
                 t = time.mktime((lt.tm_year, lt.tm_mon + 1, 1, 0, 0, 0, 0, 0, -1))
-                searched += 1
                 continue
             if not self._day_matches(lt):
                 t = time.mktime(
                     (lt.tm_year, lt.tm_mon, lt.tm_mday + 1, 0, 0, 0, 0, 0, -1)
                 )
-                searched += 1
                 continue
             if lt.tm_hour not in self.hours:
                 t = time.mktime(
                     (lt.tm_year, lt.tm_mon, lt.tm_mday, lt.tm_hour + 1, 0, 0, 0, 0, -1)
                 )
-                searched += 1
                 continue
             if lt.tm_min not in self.minutes:
                 t += 60
-                searched += 1
                 continue
             return float(t)
         raise ValidationError(
-            f"cron spec {self.spec!r} has no matching time within 4 years"
+            f"cron spec {self.spec!r} has no matching time within 8 years"
         )
 
 

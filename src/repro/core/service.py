@@ -162,8 +162,8 @@ def openhouse_sharded_pipeline(
     not the catalog, and a shared connector keeps dense-cache slot
     interning consistent across shards.  The LST connector exports
     picklable :class:`~repro.catalog.snapshot.CatalogObservationSlice`
-    shard work, so ``workers="processes"`` / ``"auto"`` run the realistic
-    catalog path on true multi-core workers.
+    shard work, so ``workers="processes"`` runs the realistic catalog
+    path on true multi-core workers.
 
     Args:
         catalog: control plane holding the tables.

@@ -45,9 +45,9 @@ from repro.core.ranking import RankingPolicy
 from repro.core.selection import AllSelector, BudgetSelector, Selector, TopKSelector
 from repro.core.workers import (
     TRANSPORT_KINDS,
+    WORKER_MODES,
     ShardDecision,
     WorkerPool,
-    process_workers_available,
     run_shard_work,
 )
 from repro.errors import ValidationError, WorkerError
@@ -57,11 +57,6 @@ from repro.simulation.telemetry import RATIO_BOUNDS, Telemetry
 
 #: Valid decide-phase placements.
 SELECTION_MODES = ("global", "local")
-
-#: Valid pipeline-level worker modes: the two pool modes plus ``auto``,
-#: which probes both once and then picks per cycle from observed
-#: observe-phase wall times (with hysteresis, so it does not flap).
-PIPELINE_WORKER_MODES = ("threads", "processes", "auto")
 
 
 def shard_for_key(key: CandidateKey, n_shards: int) -> int:
@@ -173,14 +168,10 @@ class ShardedPipeline:
             process pool for true multi-core CPU-bound observation; every
             shard connector must provide a
             :class:`~repro.core.transport.WorkerTransport`, i.e. be able
-            to export shippable shard work) or ``"auto"``
-            (probe threads then processes once each, then pick per cycle
-            whichever mode's observed observe-phase wall time is lower —
-            with hysteresis, so a mode must beat the incumbent by
-            ``auto_hysteresis`` to take over; degrades to pure thread mode
-            when process workers are unavailable).  All modes produce
+            to export shippable shard work).  Both modes produce
             byte-identical cycle reports for the same inputs, so the
-            adaptive choice is purely an execution decision.
+            choice is purely an execution decision: ship work out only
+            when its compute outweighs shipping the data.
         worker_decide: ship the decide phase into process workers for
             ``selection="local"`` cycles.  ``None`` (default) enables it
             exactly when a cycle runs on the process pool with local
@@ -206,18 +197,8 @@ class ShardedPipeline:
             cycles; reports stay byte-identical across transports.
         max_workers: pool width; defaults to
             ``min(len(shards), cpu_count)``; 1 runs shards inline.
-        auto_hysteresis: relative improvement the non-incumbent mode must
-            show before ``workers="auto"`` switches (default 20%).
-        auto_probe_interval: every this many auto cycles, run one cycle in
-            the *non-incumbent* mode to refresh its wall sample (default
-            16; 0 disables).  Without re-probing, the loser's sample
-            would freeze at whatever its last — possibly cold-cache —
-            probe measured, and auto mode could latch onto the wrong
-            executor permanently.
         telemetry: fleet-level metric sink (per-shard metrics are recorded
-            under ``autocomp.shard<i>`` scopes of this sink; auto mode
-            also records ``autocomp.fleet.worker_mode`` and per-mode
-            observe walls there).
+            under ``autocomp.shard<i>`` scopes of this sink).
         tracer: optional :class:`repro.obs.tracing.Tracer`.  Each cycle
             produces one ``cycle → observe → shard → …`` span tree; in
             process mode the shard span's context ships inside the
@@ -243,8 +224,6 @@ class ShardedPipeline:
         worker_decide: bool | None = None,
         transport: str | None = None,
         max_workers: int | None = None,
-        auto_hysteresis: float = 0.2,
-        auto_probe_interval: int = 16,
         telemetry: Telemetry | None = None,
         tracer: Tracer | None = None,
     ) -> None:
@@ -258,23 +237,15 @@ class ShardedPipeline:
             raise ValidationError(
                 f"unknown merge order {merge_order!r}; expected 'generation' or 'any'"
             )
-        if workers not in PIPELINE_WORKER_MODES:
+        if workers not in WORKER_MODES:
             raise ValidationError(
-                f"unknown worker mode {workers!r}; expected one of {PIPELINE_WORKER_MODES}"
+                f"unknown worker mode {workers!r}; expected one of {WORKER_MODES}"
             )
         if worker_decide and selection != "local":
             raise ValidationError(
                 "worker_decide=True needs selection='local': global "
                 "selection must see every shard's survivors at once, so "
                 "it always decides on the coordinator"
-            )
-        if not 0.0 <= auto_hysteresis < 1.0:
-            raise ValidationError(
-                f"auto_hysteresis must be in [0, 1), got {auto_hysteresis}"
-            )
-        if auto_probe_interval < 0:
-            raise ValidationError(
-                f"auto_probe_interval must be >= 0, got {auto_probe_interval}"
             )
         self.merge_order = merge_order
         self.shards = list(shards)
@@ -294,9 +265,8 @@ class ShardedPipeline:
             ]
             raise ValidationError(
                 "workers='processes' needs every shard connector to "
-                "provide a worker transport (override "
-                "Connector.worker_transport, or keep the legacy "
-                "worker-observe method trio); these do not: "
+                "provide a worker transport (advertise kinds in "
+                "Connector.worker_transport_kinds); these do not: "
                 f"{sorted(set(unsupported))}. "
                 "Use the thread-pool fallback (workers='threads')."
             )
@@ -326,32 +296,19 @@ class ShardedPipeline:
         else:
             self.transport = "pickle"
         #: Per-shard transports, created lazily on the first process-mode
-        #: cycle (so thread-only pipelines never trigger the legacy
-        #: connector deprecation shim) and memoised for the pipeline's
-        #: lifetime.
+        #: cycle and memoised for the pipeline's lifetime.
         self._transports: list = [None] * len(self.shards)
         self.workers = workers
         self.worker_decide = worker_decide
-        self.auto_hysteresis = auto_hysteresis
-        self.auto_probe_interval = auto_probe_interval
         if max_workers is None:
             max_workers = min(len(self.shards), os.cpu_count() or 1)
         if max_workers <= 0:
             raise ValidationError("max_workers must be positive")
         self.max_workers = max_workers
-        # Persistent worker pools, one per pool mode actually used: a
-        # fresh executor per cycle would pay spawn cost every cycle.
-        # Spawned lazily — single-shard or inline pipelines never start
-        # one, and auto mode only starts the pools it tries.
-        self._pools: dict[str, WorkerPool] = {}
-        #: Whether ``auto`` may try the process pool at all.
-        self._process_capable = worker_observe_capable and process_workers_available()
-        #: EWMA of the observe-phase wall per mode (auto mode's evidence).
-        self._mode_walls: dict[str, float | None] = {"threads": None, "processes": None}
-        #: Auto mode's incumbent once both modes have been probed.
-        self._auto_mode = "threads"
-        #: Auto cycles decided since warm-up (drives periodic re-probes).
-        self._auto_cycles = 0
+        # The persistent worker pool for ``workers``: a fresh executor per
+        # cycle would pay spawn cost every cycle.  Spawned lazily, so
+        # single-shard or inline pipelines never start one.
+        self._worker_pool: WorkerPool | None = None
         self.telemetry = telemetry if telemetry is not None else Telemetry()
         self._shard_telemetry = [
             self.telemetry.scoped(f"autocomp.shard{i:02d}") for i in range(len(self.shards))
@@ -394,29 +351,28 @@ class ShardedPipeline:
         return len(self.shards)
 
     def close(self, timeout: float | None = None) -> None:
-        """Shut the shard worker pools down (idempotent).
+        """Shut the shard worker pool down (idempotent).
 
         Call when the pipeline is done (or use the pipeline as a context
-        manager); a garbage-collected pipeline's pools are also shut down
-        by their finalizers, so forgotten pipelines never strand processes.
-        With a ``timeout``, pools drain instead of blocking indefinitely
+        manager); a garbage-collected pipeline's pool is also shut down
+        by its finalizer, so forgotten pipelines never strand processes.
+        With a ``timeout``, the pool drains instead of blocking indefinitely
         (see :meth:`~repro.core.workers.WorkerPool.close`) — the daemon's
         graceful-shutdown path.
         """
-        for pool in self._pools.values():
-            pool.close(timeout=timeout)
-        self._pools.clear()
+        if self._worker_pool is not None:
+            self._worker_pool.close(timeout=timeout)
+            self._worker_pool = None
         for transport in self._transports:
             if transport is not None:
                 transport.close()
         self._transports = [None] * len(self.shards)
 
-    def _pool(self, mode: str) -> WorkerPool:
-        """The persistent pool for ``mode`` (created on first use)."""
-        pool = self._pools.get(mode)
-        if pool is None:
-            pool = self._pools[mode] = WorkerPool(mode=mode, max_workers=self.max_workers)
-        return pool
+    def _pool(self) -> WorkerPool:
+        """The persistent pool for ``self.workers`` (created on first use)."""
+        if self._worker_pool is None:
+            self._worker_pool = WorkerPool(mode=self.workers, max_workers=self.max_workers)
+        return self._worker_pool
 
     def _transport_for(self, shard_index: int, pool: WorkerPool):
         """Shard ``shard_index``'s memoised worker transport, bound to ``pool``."""
@@ -536,21 +492,21 @@ class ShardedPipeline:
         for report, subset in zip(shard_reports, shard_keys):
             report.candidates_generated = len(subset)
 
-        # Observe + orient each shard's slice (concurrently when possible),
-        # in whichever worker mode this cycle runs.
-        mode = self._cycle_worker_mode()
+        # Observe + orient each shard's slice (concurrently when possible).
         observe_start = time.perf_counter()
         observe_span = (
-            tracer.begin("observe", mode=mode) if tracer is not None else None
+            tracer.begin("observe", mode=self.workers) if tracer is not None else None
         )
         try:
             per_shard, observe_wall, decisions = self._observe_all(
-                shard_keys, shard_reports, now, mode
+                shard_keys, shard_reports, now
             )
         finally:
             if observe_span is not None:
                 tracer.end(observe_span)
-        self._note_observe_wall(mode, time.perf_counter() - observe_start, now)
+        self.telemetry.observe(
+            "autocomp.hist.observe_wall_s", time.perf_counter() - observe_start
+        )
 
         decide_start = time.perf_counter()
         decide_span = tracer.begin("decide") if tracer is not None else None
@@ -627,63 +583,14 @@ class ShardedPipeline:
 
     # --- phases ----------------------------------------------------------------
 
-    def _cycle_worker_mode(self) -> str:
-        """The worker mode this cycle runs in (fixed, or auto's pick)."""
-        if self.workers != "auto":
-            return self.workers
-        if (
-            not self._process_capable
-            or self.max_workers <= 1
-            or len(self.shards) <= 1
-        ):
-            return "threads"
-        # Warm-up: probe each mode once (threads first — it also warms the
-        # caches, giving the process probe a steady-state-shaped cycle).
-        for mode in ("threads", "processes"):
-            if self._mode_walls[mode] is None:
-                return mode
-        incumbent = self._auto_mode
-        other = "processes" if incumbent == "threads" else "threads"
-        other_wall, incumbent_wall = self._mode_walls[other], self._mode_walls[incumbent]
-        # Hysteresis: the challenger must beat the incumbent by the
-        # configured margin, so near-ties do not flap between modes.
-        if other_wall < incumbent_wall * (1.0 - self.auto_hysteresis):
-            self._auto_mode = other
-        self._auto_cycles += 1
-        if (
-            self.auto_probe_interval
-            and self._auto_cycles % self.auto_probe_interval == 0
-            and self._auto_mode != other  # a fresh switch already refreshes
-        ):
-            # Periodic re-probe: run this one cycle in the non-incumbent
-            # mode so its wall sample cannot go permanently stale (the
-            # loser's last measurement may date from a cold-cache probe).
-            # The incumbent is unchanged — only the evidence refreshes.
-            return other
-        return self._auto_mode
-
-    def _note_observe_wall(self, mode: str, wall_s: float, now: float) -> None:
-        """Feed one cycle's observe-phase wall into auto mode's evidence."""
-        if self.workers == "auto":
-            previous = self._mode_walls.get(mode)
-            self._mode_walls[mode] = (
-                wall_s if previous is None else 0.5 * previous + 0.5 * wall_s
-            )
-        self.telemetry.record(f"autocomp.fleet.observe_wall.{mode}", now, wall_s)
-        self.telemetry.record(
-            "autocomp.fleet.worker_mode", now, 1.0 if mode == "processes" else 0.0
-        )
-        self.telemetry.observe("autocomp.hist.observe_wall_s", wall_s)
-
     def _observe_all(
         self,
         shard_keys: list[list[CandidateKey]],
         shard_reports: list[CycleReport],
         now: float,
-        mode: str,
     ) -> tuple[list[list[Candidate]], list[float], list[ShardDecision | None]]:
         decisions: list[ShardDecision | None] = [None] * len(self.shards)
-        if mode == "processes" and self.max_workers > 1 and len(self.shards) > 1:
+        if self.workers == "processes" and self.max_workers > 1 and len(self.shards) > 1:
             return self._observe_processes(shard_keys, shard_reports, now)
         observe_wall = [0.0] * len(self.shards)
         tracer = self._tracer
@@ -712,7 +619,7 @@ class ShardedPipeline:
 
         indices = range(len(self.shards))
         if self.max_workers > 1 and len(self.shards) > 1:
-            per_shard = self._pool("threads").run_tasks(
+            per_shard = self._pool().run_tasks(
                 [lambda i=i: observe(i) for i in indices]
             )
         else:
@@ -765,7 +672,7 @@ class ShardedPipeline:
         placed_specs = []
         futures = {}
         per_shard: list[list[Candidate]] = []
-        pool = self._pool("processes")
+        pool = self._pool()
         # Contract handshake, verified once per pool (cached): the worker
         # side must speak the same spec version and transport kind before
         # any spec ships; raises WorkerError naming both sides otherwise.

@@ -1,28 +1,25 @@
 """The ``WorkerTransport`` seam: one protocol between connectors and workers.
 
-Process-mode sharding used to reach into connectors through three ad-hoc
-methods (``export_shard_work`` / ``merge_shard_result`` /
-``apply_shard_delta``) gated by a ``supports_worker_observe`` boolean,
-with raw ``version:`` checks sprinkled over every result.  This module
-collapses that into a first-class protocol:
-
 * :class:`WorkerTransport` — the contract the sharded pipeline drives:
   ``export`` a shard's keys into hits + a picklable spec,
   ``attach_decide`` the decide phase, ``merge`` / ``merge_decision`` a
   worker's answer back, ``release`` the spec's shared resources.
-* :class:`PickleTransport` — the per-object encoding, delegating to the
-  connector's existing export/merge implementations.
+* :class:`PickleTransport` — the per-object encoding: the connector's
+  ``export_shard_work`` snapshots the misses, and the worker's candidates
+  come back as pickles.
 * :class:`ColumnarTransport` — the zero-copy encoding
   (:mod:`repro.core.columnar`): flat arrays in shared memory out, trait
-  matrices and selection references back, with every miss riding the
-  cache delta so process-mode caches stay as warm as thread-mode ones.
-* :class:`LegacyPickleTransport` — the deprecation shim wrapping
-  third-party connectors that still implement the old method trio.
+  matrices and selection references back.
+
+Exports are format-specific and stay on the connectors; merging is not —
+both transports fill the holes themselves and hand the worker's cache
+delta to :meth:`~repro.core.connectors.Connector.store_worker_observations`,
+so process-mode caches stay as warm as thread-mode ones.
 
 Capability negotiation is two-layered: a connector advertises the
 transport *kinds* it speaks (:meth:`Connector.worker_transport_kinds`)
 and builds a transport on request
-(:meth:`Connector.worker_transport`); the
+(:meth:`Connector.worker_transport`, via :data:`TRANSPORT_CLASSES`); the
 :class:`~repro.core.workers.WorkerPool` then performs the contract
 handshake (:meth:`~repro.core.workers.WorkerPool.negotiate`) verifying
 the worker side runs the same spec version and transport before any spec
@@ -37,14 +34,7 @@ import dataclasses
 from repro.core.candidates import Candidate
 from repro.core.columnar import ColumnarHitPayload
 from repro.core.workers import ShardDecideSpec, ShardDecision, ShardWorkSpec
-
-#: The old connector worker-observe method trio, detected for the
-#: deprecation shim.
-LEGACY_WORKER_METHODS = (
-    "export_shard_work",
-    "merge_shard_result",
-    "apply_shard_delta",
-)
+from repro.errors import ValidationError
 
 
 class WorkerTransport(abc.ABC):
@@ -110,9 +100,11 @@ class WorkerTransport(abc.ABC):
 class PickleTransport(WorkerTransport):
     """Per-object encoding: candidates and snapshots cross as pickles.
 
-    Delegates to the connector's export/merge/apply implementations —
-    the encoding every connector with worker-observe support already
-    speaks, and the fallback when columnar negotiation fails.
+    Export delegates to the connector's ``export_shard_work`` encoder; the
+    worker ships its (oriented) miss candidates back, which fill the
+    placed list's holes and ride the cache delta into the coordinator's
+    cache.  The one encoding that carries hit ``file_sizes`` to
+    worker-side custom statistics filters.
     """
 
     kind = "pickle"
@@ -133,24 +125,21 @@ class PickleTransport(WorkerTransport):
         )
 
     def merge(self, spec, placed, result):
-        return self.connector.merge_shard_result(placed, result)
+        holes = sum(1 for candidate in placed if candidate is None)
+        if holes != len(result.candidates):
+            raise ValidationError(
+                f"shard result carries {len(result.candidates)} candidates "
+                f"for {holes} miss positions"
+            )
+        self.connector.store_worker_observations(result.cache_delta, result.candidates)
+        fill = iter(result.candidates)
+        return [c if c is not None else next(fill) for c in placed]
 
     def merge_decision(self, spec, placed, result):
-        self.connector.apply_shard_delta(result)
+        # The worker returned only the selected candidates, position-
+        # aligned with the delta: absorb the cache updates, fill nothing.
+        self.connector.store_worker_observations(result.cache_delta, result.candidates)
         return result.decision
-
-
-class LegacyPickleTransport(PickleTransport):
-    """Deprecation shim over the old connector worker-observe method trio.
-
-    Third-party connectors that implement ``export_shard_work`` /
-    ``merge_shard_result`` / ``apply_shard_delta`` without overriding
-    :meth:`~repro.core.connectors.Connector.worker_transport` get wrapped
-    into this adapter (with a :class:`DeprecationWarning`) so they keep
-    working for one release; behaviour is exactly the pickle transport's.
-    """
-
-    kind = "pickle"
 
 
 class ColumnarTransport(WorkerTransport):
@@ -255,3 +244,10 @@ class ColumnarTransport(WorkerTransport):
             payload.dispose()  # type: ignore[attr-defined]
             if self._pool is not None:
                 self._pool.untrack_resource(payload)
+
+
+#: Transport class per negotiable kind
+#: (:data:`~repro.core.workers.TRANSPORT_KINDS`).
+TRANSPORT_CLASSES: dict[str, type[WorkerTransport]] = {
+    cls.kind: cls for cls in (ColumnarTransport, PickleTransport)
+}

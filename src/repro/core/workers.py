@@ -705,7 +705,14 @@ class WorkerPool:
             if self.mode == "processes":
                 import multiprocessing
                 from concurrent.futures import ProcessPoolExecutor
+                from multiprocessing import resource_tracker
 
+                # Workers must inherit the coordinator's resource tracker.
+                # Forked before it runs, each worker starts its own on its
+                # first shared-memory attach, and at exit that tracker
+                # reports the coordinator-unlinked segments as leaked and
+                # unlinks them a second time.
+                resource_tracker.ensure_running()
                 executor = ProcessPoolExecutor(
                     max_workers=self.max_workers,
                     mp_context=multiprocessing.get_context("fork"),

@@ -29,7 +29,7 @@ from repro.core.scheduling import (
     PreparedJob,
 )
 from repro.core.statscache import IndexedCandidateCache
-from repro.core.workers import ShardCycleResult, ShardWorkSpec, burn_cpu
+from repro.core.workers import ShardWorkSpec, burn_cpu
 from repro.errors import ValidationError
 from repro.fleet.model import FleetModel
 from repro.units import DAY
@@ -81,24 +81,11 @@ class FleetConnector(Connector):
     never change), so steady-state generation allocates no new key objects.
     """
 
-    #: Observation state is exportable as picklable column slices, so this
-    #: connector can feed process-mode shard workers.
-    supports_worker_observe = True
-
     def worker_transport_kinds(self) -> tuple[str, ...]:
+        # Observation state is exportable as column slices (pickle) or
+        # shared-memory arrays (columnar), so this connector can feed
+        # process-mode shard workers.
         return ("columnar", "pickle")
-
-    def worker_transport(self, kind: str | None = None):
-        from repro.core.transport import ColumnarTransport, PickleTransport
-
-        if kind in (None, "columnar"):
-            return ColumnarTransport(self)
-        if kind == "pickle":
-            return PickleTransport(self)
-        raise ValidationError(
-            f"FleetConnector does not speak the {kind!r} worker transport "
-            f"(supported: {self.worker_transport_kinds()})"
-        )
 
     def __init__(
         self,
@@ -465,33 +452,6 @@ class FleetConnector(Connector):
             transport="columnar",
         )
         return placed, spec
-
-    def apply_shard_delta(self, result: ShardCycleResult) -> None:
-        """Replay a worker result's cache delta (no hole filling).
-
-        Applying the delta is what keeps process-mode cycles incremental:
-        the worker's freshness tokens land in the coordinator's cache, so
-        the next cycle's hit pass sees the observation as if it had
-        happened here.  Version compatibility is the pool handshake's job
-        (:meth:`~repro.core.workers.WorkerPool.negotiate`), not a
-        per-result check.
-        """
-        if self.stats_cache is not None:
-            self.stats_cache.apply_delta(result.cache_delta, result.candidates)
-
-    def merge_shard_result(
-        self, placed: list[Candidate | None], result: ShardCycleResult
-    ) -> list[Candidate]:
-        """Fill the miss holes from a worker's result; replay its cache delta."""
-        holes = sum(1 for candidate in placed if candidate is None)
-        if holes != len(result.candidates):
-            raise ValidationError(
-                f"shard result carries {len(result.candidates)} candidates "
-                f"for {holes} miss positions"
-            )
-        self.apply_shard_delta(result)
-        fill = iter(result.candidates)
-        return [c if c is not None else next(fill) for c in placed]
 
     def collect_statistics(self, key: CandidateKey) -> CandidateStatistics:
         return self._statistics(key, self.model.database_quota_utilization())

@@ -226,9 +226,8 @@ class ShardedAutoCompStrategy(CompactionStrategy):
             ``"local"`` (split budgets, fully independent shards).
         workers: shard execution mode — ``"threads"`` (default),
             ``"processes"`` (true multi-core observe/orient via picklable
-            shard work; see :mod:`repro.core.workers`) or ``"auto"``
-            (per-cycle adaptive choice from observed observe walls).  All
-            produce byte-identical cycle reports.
+            shard work; see :mod:`repro.core.workers`).  Both produce
+            byte-identical cycle reports.
         worker_decide: ship the decide phase into process workers for
             local selection (see
             :class:`~repro.core.sharding.ShardedPipeline`).

@@ -236,6 +236,7 @@ class TestLstWorkerObservation:
 
     def test_snapshot_statistics_match_live_observation(self, populated_catalog):
         from repro.core import TraitRegistry
+        from repro.core.transport import PickleTransport
         from repro.core.workers import run_shard_work
 
         connector = LstConnector(populated_catalog)
@@ -244,12 +245,24 @@ class TestLstWorkerObservation:
         assert placed == [None] * len(keys)  # no cache: everything misses
         assert spec is not None and spec.snapshot is not None
         result = run_shard_work(spec)
-        merged = connector.merge_shard_result(placed, result)
+        merged = PickleTransport(connector).merge(spec, placed, result)
         live = LstConnector(populated_catalog).observe(keys)
         assert [c.key for c in merged] == [c.key for c in live]
         assert [c.statistics for c in merged] == [c.statistics for c in live]
         # file_sizes survive the snapshot (entropy-style traits need them).
         assert all(c.statistics.file_sizes for c in merged)
+
+    def test_pickle_merge_rejects_a_hole_count_mismatch(self, populated_catalog):
+        from repro.core import TraitRegistry
+        from repro.core.transport import PickleTransport
+        from repro.core.workers import run_shard_work
+
+        connector = LstConnector(populated_catalog)
+        keys = connector.list_candidates("table")
+        placed, spec = connector.export_shard_work(keys, 0, TraitRegistry([]))
+        result = run_shard_work(spec)
+        with pytest.raises(ValidationError, match="miss positions"):
+            PickleTransport(connector).merge(spec, placed + [None], result)
 
     def test_spec_is_picklable_and_worker_output_stable(self, populated_catalog):
         import pickle
@@ -312,6 +325,7 @@ class TestLstWorkerObservation:
     def test_apply_shard_delta_feeds_either_cache_kind(self, populated_catalog):
         from repro.core import TraitRegistry
         from repro.core.statscache import StatsCache
+        from repro.core.transport import PickleTransport
         from repro.core.workers import run_shard_work
 
         for cache in (StatsCache(), None):
@@ -319,7 +333,8 @@ class TestLstWorkerObservation:
             keys = connector.list_candidates("table")
             placed, spec = connector.export_shard_work(keys, 0, TraitRegistry([]))
             result = run_shard_work(spec)
-            connector.apply_shard_delta(result)
+            # Delta-only absorption: the decide-in-worker merge path.
+            PickleTransport(connector).merge_decision(spec, placed, result)
             if cache is not None:
                 assert len(cache) == len(keys)
                 # Next bulk pass hits without re-collection.

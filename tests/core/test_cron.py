@@ -129,6 +129,12 @@ class TestNextAfter:
         t = leap.next_after(at(2026, 8, 10))
         assert time.localtime(t)[:5] == (2028, 2, 29, 0, 0)
 
+    def test_longest_leap_gap_resolves(self):
+        # 2100 is no leap year: after 2096 the next Feb 29 is 2104.
+        leap = CronSchedule.parse("0 0 29 2 *")
+        t = leap.next_after(at(2097, 3, 1))
+        assert time.localtime(t)[:5] == (2104, 2, 29, 0, 0)
+
     def test_every_result_matches_the_schedule(self):
         s = CronSchedule.parse("*/20 1,13 * * *")
         t = at(2026, 8, 10)

@@ -1,29 +1,34 @@
 """Unit tests for the WorkerTransport connector API.
 
-Covers the three contracts the transport redesign introduced:
+Covers the three contracts the transport seam defines:
 
-* **legacy shim** — connectors implementing the pre-transport method trio
-  (``export_shard_work``/``merge_shard_result``/``apply_shard_delta``)
-  keep working through :class:`~repro.core.transport.LegacyPickleTransport`
-  behind a :class:`DeprecationWarning`;
+* **transport construction** — one base
+  :meth:`~repro.core.connectors.Connector.worker_transport` builds the
+  transport for whichever kind a connector advertises;
 * **handshake** — :meth:`~repro.core.workers.WorkerPool.negotiate` is the
   pool's single version check, raising one
   :class:`~repro.core.workers.WorkerError` that names both sides;
 * **segment lifecycle** — shared-memory blocks tracked with a pool never
-  outlive it, whether the pool closes normally or a worker crashed.
+  outlive it, whether the pool closes normally or a worker crashed, and a
+  process-pool cycle leaves no resource-tracker warnings behind.
 """
 
 from __future__ import annotations
 
 import os
 import signal
+import subprocess
+import sys
+import textwrap
 import warnings
+from pathlib import Path
 
 import pytest
 
+from repro.catalog import Catalog
 from repro.core.columnar import ColumnarMissBlock
-from repro.core.connectors import Connector
-from repro.core.transport import LegacyPickleTransport
+from repro.core.connectors import Connector, LstConnector
+from repro.core.transport import ColumnarTransport, PickleTransport
 from repro.core.workers import (
     TRANSPORT_KINDS,
     WORK_SPEC_VERSION,
@@ -33,27 +38,9 @@ from repro.core.workers import (
     process_workers_available,
 )
 from repro.errors import ValidationError
+from repro.fleet import FleetConfig, FleetConnector, FleetModel
 
-
-class _LegacyTrioConnector(Connector):
-    """A third-party connector from before the WorkerTransport protocol."""
-
-    supports_worker_observe = True
-
-    def list_candidates(self, strategy: str = "table"):
-        return []
-
-    def collect_statistics(self, key):
-        raise NotImplementedError
-
-    def export_shard_work(self, keys, shard_index, traits):
-        return [], None
-
-    def merge_shard_result(self, placed, result):
-        return []
-
-    def apply_shard_delta(self, result):
-        return None
+REPO_ROOT = Path(__file__).resolve().parent.parent.parent
 
 
 class _PlainConnector(Connector):
@@ -66,15 +53,34 @@ class _PlainConnector(Connector):
         raise NotImplementedError
 
 
-class TestLegacyShim:
-    def test_legacy_trio_is_wrapped_with_deprecation_warning(self):
-        connector = _LegacyTrioConnector()
-        assert connector.worker_transport_kinds() == ("pickle",)
-        with pytest.warns(DeprecationWarning, match="worker_transport"):
+class _PickleOnlyConnector(_PlainConnector):
+    def worker_transport_kinds(self):
+        return ("pickle",)
+
+
+def _speaking_connectors():
+    return [
+        LstConnector(Catalog()),
+        FleetConnector(FleetModel(FleetConfig(initial_tables=10, seed=1))),
+    ]
+
+
+class TestWorkerTransport:
+    def test_columnar_is_the_default(self):
+        for connector in _speaking_connectors():
             transport = connector.worker_transport()
-        assert isinstance(transport, LegacyPickleTransport)
-        assert transport.kind == "pickle"
-        assert transport.connector is connector
+            assert type(transport) is ColumnarTransport
+            assert transport.kind == "columnar"
+            assert transport.connector is connector
+
+    def test_pickle_on_request(self):
+        for connector in _speaking_connectors():
+            transport = connector.worker_transport("pickle")
+            assert type(transport) is PickleTransport
+            assert transport.connector is connector
+
+    def test_default_is_the_first_advertised_kind(self):
+        assert type(_PickleOnlyConnector().worker_transport()) is PickleTransport
 
     def test_plain_connector_yields_no_transport_and_no_warning(self):
         connector = _PlainConnector()
@@ -82,10 +88,14 @@ class TestLegacyShim:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert connector.worker_transport() is None
+            assert connector.worker_transport("pickle") is None
 
-    def test_unsupported_kind_is_rejected_before_the_shim_engages(self):
-        with pytest.raises(ValidationError, match="columnar"):
-            _LegacyTrioConnector().worker_transport("columnar")
+    def test_unspoken_kind_is_rejected_by_name(self):
+        with pytest.raises(ValidationError, match="'columnar'") as excinfo:
+            _PickleOnlyConnector().worker_transport("columnar")
+        assert "_PickleOnlyConnector" in str(excinfo.value)
+        with pytest.raises(ValidationError, match="'morse'"):
+            LstConnector(Catalog()).worker_transport("morse")
 
 
 class TestHandshake:
@@ -197,3 +207,44 @@ class TestSegmentLifecycle:
         finally:
             pool.close()
         assert not os.path.exists(path)
+
+
+_COLUMNAR_PROCESS_CYCLE = textwrap.dedent(
+    """
+    from repro.fleet import FleetConfig, FleetModel
+    from repro.fleet.simulator import ShardedAutoCompStrategy
+
+    model = FleetModel(FleetConfig(initial_tables=2000, seed=3))
+    model.step_day()
+    with ShardedAutoCompStrategy(
+        model, n_shards=2, k=5, workers="processes", max_workers=2,
+        transport="columnar",
+    ) as strategy:
+        strategy.pipeline.run_cycle(now=0.0)
+    print("cycle ok")
+    """
+)
+
+
+@pytest.mark.skipif(
+    not process_workers_available(), reason="process workers need fork"
+)
+def test_process_cycle_leaves_no_resource_tracker_warnings():
+    """A fresh interpreter's first columnar process cycle exits clean.
+
+    Runs in a subprocess because the warnings only appear when the
+    coordinator's resource tracker is not yet running at pool fork time —
+    a state this test process left long ago — and only at interpreter exit.
+    """
+    proc = subprocess.run(
+        [sys.executable, "-c", _COLUMNAR_PROCESS_CYCLE],
+        cwd=REPO_ROOT,
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env={"PYTHONPATH": str(REPO_ROOT / "src"), "PATH": "/usr/bin:/bin"},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "cycle ok" in proc.stdout
+    assert "leaked shared_memory" not in proc.stderr, proc.stderr
+    assert "No such file or directory" not in proc.stderr, proc.stderr

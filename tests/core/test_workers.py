@@ -291,9 +291,6 @@ class TestShardedPipelineWorkerModes:
                 raise NotImplementedError
 
         connector = LiveOnlyConnector()
-        assert not connector.supports_worker_observe
-        # The catalog connector, by contrast, snapshots to picklable slices.
-        assert LstConnector(Catalog()).supports_worker_observe
         lst = LstConnector(Catalog())
         pipeline = AutoCompPipeline(
             connector=connector,
@@ -307,12 +304,6 @@ class TestShardedPipelineWorkerModes:
         )
         with pytest.raises(ValidationError, match="worker"):
             ShardedPipeline([pipeline], workers="processes")
-        with pytest.raises(ValidationError, match="worker"):
-            connector.export_shard_work([], 0, _registry())
-        with pytest.raises(ValidationError, match="worker"):
-            connector.merge_shard_result([], None)
-        with pytest.raises(ValidationError, match="worker"):
-            connector.apply_shard_delta(None)
 
     def test_rejects_unknown_worker_mode(self):
         model = FleetModel(FleetConfig(initial_tables=50, seed=1))
@@ -328,14 +319,14 @@ class TestShardedPipelineWorkerModes:
         ) as strategy:
             pipeline = strategy.pipeline
             pipeline.run_cycle(now=0.0)
-            executor = pipeline._pool("processes")._executor
+            executor = pipeline._pool()._executor
             assert executor is not None
             model.step_day()
             pipeline.run_cycle(now=DAY)
-            assert pipeline._pool("processes")._executor is executor, (
+            assert pipeline._pool()._executor is executor, (
                 "the worker pool must persist across cycles"
             )
-        assert not pipeline._pools
+        assert pipeline._worker_pool is None
 
     def test_process_cycles_stay_incremental_via_cache_delta(self):
         model = FleetModel(FleetConfig(initial_tables=150, seed=11))
@@ -492,119 +483,3 @@ class TestWorkerFailureHandling:
                 assert isinstance(exc.__cause__, RuntimeError)
             finally:
                 victim.export_shard_work = original
-
-
-class TestAutoWorkerMode:
-    def _pipeline(self, **kwargs):
-        model = FleetModel(FleetConfig(initial_tables=100, seed=2))
-        model.step_day()
-        strategy = ShardedAutoCompStrategy(
-            model, n_shards=2, k=5, workers="auto", max_workers=2, **kwargs
-        )
-        return model, strategy
-
-    def test_warmup_probes_threads_then_processes(self):
-        model, strategy = self._pipeline()
-        with strategy:
-            pipeline = strategy.pipeline
-            assert pipeline._cycle_worker_mode() == "threads"
-            pipeline.run_cycle(now=0.0)
-            assert pipeline._mode_walls["threads"] is not None
-            assert pipeline._cycle_worker_mode() == "processes"
-            model.step_day()
-            pipeline.run_cycle(now=DAY)
-            assert pipeline._mode_walls["processes"] is not None
-
-    def test_hysteresis_prevents_flapping(self):
-        _, strategy = self._pipeline()
-        with strategy:
-            pipeline = strategy.pipeline
-            pipeline._mode_walls.update({"threads": 1.0, "processes": 0.95})
-            # 5% better does not clear the 20% hysteresis bar.
-            assert pipeline._cycle_worker_mode() == "threads"
-            pipeline._mode_walls["processes"] = 0.5
-            assert pipeline._cycle_worker_mode() == "processes"
-            # Once processes is the incumbent, a near-tie keeps it.
-            pipeline._mode_walls["threads"] = 0.45
-            assert pipeline._cycle_worker_mode() == "processes"
-            pipeline._mode_walls["threads"] = 0.1
-            assert pipeline._cycle_worker_mode() == "threads"
-
-    def test_periodic_probe_refreshes_the_loser(self):
-        """The non-incumbent mode's wall sample must be re-measured on a
-        schedule — otherwise a cold-cache probe could latch the wrong mode
-        forever."""
-        _, strategy = self._pipeline()
-        with strategy:
-            pipeline = strategy.pipeline
-            pipeline.auto_probe_interval = 3
-            pipeline._mode_walls.update({"threads": 0.1, "processes": 5.0})
-            modes = [pipeline._cycle_worker_mode() for _ in range(6)]
-            assert modes == [
-                "threads",
-                "threads",
-                "processes",  # probe cycle: refresh the loser's sample
-                "threads",
-                "threads",
-                "processes",
-            ]
-            assert pipeline._auto_mode == "threads"  # incumbent unchanged
-
-    def test_auto_reports_match_thread_reports(self):
-        config = FleetConfig(initial_tables=140, seed=21)
-        model_a, model_b = FleetModel(config), FleetModel(config)
-        model_a.step_day()
-        model_b.step_day()
-        with ShardedAutoCompStrategy(
-            model_a, n_shards=2, k=8, workers="threads"
-        ) as threads, ShardedAutoCompStrategy(
-            model_b, n_shards=2, k=8, workers="auto", max_workers=2
-        ) as auto:
-            for day in range(4):
-                now = float(day) * DAY
-                a = threads.pipeline.run_cycle(now=now)
-                b = auto.pipeline.run_cycle(now=now)
-                assert dataclasses.asdict(a.report) == dataclasses.asdict(b.report)
-                model_a.step_day()
-                model_b.step_day()
-            # The adaptive choice is visible in telemetry.
-            series = auto.pipeline.telemetry.series("autocomp.fleet.worker_mode")
-            assert len(series) == 4
-
-    def test_auto_degrades_to_threads_without_worker_observe(self):
-        from repro.catalog import Catalog
-        from repro.core import (
-            AutoCompPipeline,
-            Connector,
-            LstConnector,
-            LstExecutionBackend,
-            SequentialScheduler,
-            TopKSelector,
-            WeightedSumPolicy,
-            Objective,
-        )
-        from repro.engine import Cluster
-
-        class LiveOnlyConnector(Connector):
-            def list_candidates(self, strategy="table"):
-                return []
-
-            def collect_statistics(self, key):
-                raise NotImplementedError
-
-        lst = LstConnector(Catalog())
-        pipeline = AutoCompPipeline(
-            connector=LiveOnlyConnector(),
-            backend=LstExecutionBackend(lst, Cluster("maint", executors=1)),
-            traits=_registry(),
-            policy=WeightedSumPolicy(
-                [Objective("file_count_reduction", 1.0, maximize=True)]
-            ),
-            selector=TopKSelector(3),
-            scheduler=SequentialScheduler(),
-        )
-        # auto does not hard-fail on unsupported connectors — it stays on
-        # the thread pool (unlike workers="processes", which raises).
-        with ShardedPipeline([pipeline, pipeline], workers="auto", max_workers=2) as sharded:
-            assert sharded._cycle_worker_mode() == "threads"
-            sharded.run_cycle(now=0.0)
