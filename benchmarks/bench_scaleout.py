@@ -364,10 +364,10 @@ def _lst_pipeline(
     transport=None,
     observe_cost=0,
 ):
-    from repro.core import IndexedCandidateCache, openhouse_sharded_pipeline
+    from repro.core import IndexedCandidateCache, openhouse_pipeline
     from repro.engine import Cluster
 
-    pipeline = openhouse_sharded_pipeline(
+    pipeline = openhouse_pipeline(
         catalog,
         Cluster("maint", executors=2),
         n_shards=n_shards,

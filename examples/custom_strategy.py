@@ -64,15 +64,17 @@ class WorkloadAwareConnector(LstConnector):
     """LstConnector + an access-frequency side channel.
 
     A real deployment would read query logs; here the workload registers
-    its per-table access rates explicitly.
+    its per-table access rates explicitly.  ``build_statistics`` is the one
+    hook every observation miss goes through, so the signal reaches the
+    pipeline's observe phase (and single-key reads) alike.
     """
 
     def __init__(self, catalog, access_rates):
         super().__init__(catalog)
         self.access_rates = access_rates
 
-    def collect_statistics(self, key: CandidateKey) -> CandidateStatistics:
-        base = super().collect_statistics(key)
+    def build_statistics(self, key: CandidateKey) -> CandidateStatistics:
+        base = super().build_statistics(key)
         custom = dict(base.custom)
         custom["access_frequency"] = self.access_rates.get(key.qualified_table, 0.0)
         from dataclasses import replace

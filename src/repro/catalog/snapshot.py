@@ -38,7 +38,7 @@ def build_candidate_statistics(
 ):
     """The single statistics constructor behind live and snapshot observation.
 
-    Both :meth:`LstConnector._collect_statistics
+    Both :meth:`LstConnector.build_statistics
     <repro.core.connectors.LstConnector>` and
     :meth:`CatalogObservationSlice.statistics` call this, so the two paths
     cannot drift — a shard worker reconstructing statistics from a

@@ -53,7 +53,7 @@ from repro.core.filters import (
     MinTraitFilter,
     QuiescenceFilter,
 )
-from repro.core.pipeline import AutoCompPipeline, CycleReport
+from repro.core.pipeline import AutoCompPipeline, CycleReport, ShardedCycleReport
 from repro.core.ranking import (
     Objective,
     QuotaAwareWeightedSumPolicy,
@@ -103,7 +103,6 @@ from repro.core.service import (
     openhouse_sharded_pipeline,
 )
 from repro.core.sharding import (
-    ShardedCycleReport,
     ShardedPipeline,
     shard_for_key,
     split_selector,

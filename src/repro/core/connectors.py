@@ -226,7 +226,11 @@ class LstConnector(Connector):
     def worker_transport_kinds(self) -> tuple[str, ...]:
         # Observation snapshots to frozen, picklable slices (pickle) or
         # shared-memory arrays (columnar), so this connector can feed
-        # process-mode shard workers.
+        # process-mode shard workers.  Workers rebuild statistics from
+        # those rows, so a subclass customising build_statistics observes
+        # in process (threads) instead.
+        if type(self).build_statistics is not LstConnector.build_statistics:
+            return ()
         return ("columnar", "pickle")
 
     def __init__(
@@ -352,7 +356,7 @@ class LstConnector(Connector):
         for key, slot, token, pos in zip(
             miss_keys, miss_slots, miss_tokens, miss_positions
         ):
-            statistics = self._collect_statistics(key)
+            statistics = self.build_statistics(key)
             candidate = Candidate(key=key, statistics=statistics)
             if dense:
                 cache.put(slot, candidate, now, token)  # type: ignore[union-attr, arg-type]
@@ -468,7 +472,7 @@ class LstConnector(Connector):
                 if cached.quota_utilization != quota:
                     object.__setattr__(cached, "quota_utilization", quota)
                 return cached
-        statistics = self._collect_statistics(key)
+        statistics = self.build_statistics(key)
         if cache is not None:
             cache.put(key, statistics, now)
         return statistics
@@ -514,7 +518,13 @@ class LstConnector(Connector):
             table.version,
         )
 
-    def _collect_statistics(self, key: CandidateKey) -> CandidateStatistics:
+    def build_statistics(self, key: CandidateKey) -> CandidateStatistics:
+        """Build ``key``'s statistics from the live catalog, uncached.
+
+        The one source of every cache miss — bulk :meth:`observe` and
+        single-key :meth:`collect_statistics` alike — so subclasses add
+        platform-specific signals (``CandidateStatistics.custom``) here.
+        """
         row = self._observation_row(key)
         return build_candidate_statistics(*row[:-1])
 

@@ -349,10 +349,6 @@ class AutoCompDaemon:
 
     # --- wiring -----------------------------------------------------------------
 
-    def _pipelines(self) -> list:
-        shards = getattr(self.service.pipeline, "shards", None)
-        return list(shards) if shards else [self.service.pipeline]
-
     def _telemetry(self):
         return getattr(self.service.pipeline, "telemetry", None)
 
@@ -389,7 +385,7 @@ class AutoCompDaemon:
         if self.admission is not None:
             gates.append(self.admission.admit)
         gates.append(self._lock_gate)
-        for pipeline in self._pipelines():
+        for pipeline in self.service.pipeline.shards:
             for gate in gates:
                 if gate not in pipeline.act_gates:
                     pipeline.act_gates.append(gate)
@@ -398,7 +394,7 @@ class AutoCompDaemon:
         mine = {self._lock_gate}
         if self.admission is not None:
             mine.add(self.admission.admit)
-        for pipeline in self._pipelines():
+        for pipeline in self.service.pipeline.shards:
             pipeline.act_gates = [g for g in pipeline.act_gates if g not in mine]
 
     # --- lifecycle --------------------------------------------------------------
@@ -605,9 +601,7 @@ class AutoCompDaemon:
             # evaluation keeps the thread alive, bounded by the drain.
             self._promoter_thread.join(timeout=self.drain_timeout_s)
             self._promoter_thread = None
-        close = getattr(self.service.pipeline, "close", None)
-        if close is not None:
-            close(timeout=self.drain_timeout_s if drain else 0.001)
+        self.service.pipeline.close(timeout=self.drain_timeout_s if drain else 0.001)
         if self.spill_path is not None:
             self.service.spill_history(self.spill_path)
         self._uninstall_gates()
@@ -630,7 +624,7 @@ class AutoCompDaemon:
     # --- backfill ---------------------------------------------------------------
 
     def _connector_and_backend(self):
-        pipeline = self._pipelines()[0]
+        pipeline = self.service.pipeline.shards[0]
         return pipeline.connector, pipeline.backend
 
     def _compact_one(self, candidate_key) -> ExecutionResult:
@@ -638,7 +632,7 @@ class AutoCompDaemon:
         connector, backend = self._connector_and_backend()
         stats = connector.collect_statistics(candidate_key)
         candidate = Candidate(key=candidate_key, statistics=stats)
-        pipeline = self._pipelines()[0]
+        pipeline = self.service.pipeline.shards[0]
         pipeline.traits.annotate_all([candidate])
         task = CompactionTask.from_candidate(candidate)
         job = backend.prepare(task)

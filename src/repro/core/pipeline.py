@@ -15,6 +15,11 @@ An optional feedback loop (act → observe) invokes registered hooks with
 each cycle's report, letting deployments adapt parameters over time —
 e.g. LinkedIn's transition from fixed to dynamic k.
 
+One driver, :class:`CycleDriver`, runs that loop for every pipeline: a
+plain :class:`AutoCompPipeline` is its one-shard inline case, and the
+scale-out :class:`~repro.core.sharding.ShardedPipeline` spreads the
+observe phase over N shards.
+
 Every phase is deterministic given identical inputs (NFR2), and each
 component is swappable (NFR1).
 """
@@ -83,7 +88,275 @@ class CycleReport:
         return sum(r.actual_reduction for r in self.results)
 
 
-class AutoCompPipeline:
+@dataclass
+class ShardedCycleReport:
+    """One cycle: the merged view plus per-shard detail."""
+
+    #: Merged report (counts summed, selection in rank order, results
+    #: shared with the act phase).
+    report: CycleReport
+    #: Per-shard reports (observation counts and each shard's share of the
+    #: selection); with one shard, the merged report itself.
+    shard_reports: list[CycleReport] = field(default_factory=list)
+    #: Wall-clock seconds each shard spent in observe/orient.
+    shard_observe_wall_s: list[float] = field(default_factory=list)
+    #: Wall-clock seconds for the whole cycle.
+    cycle_wall_s: float = 0.0
+
+    @property
+    def selected(self) -> list[CandidateKey]:
+        """Merged selection (delegates to the merged report)."""
+        return self.report.selected
+
+
+class CycleDriver:
+    """The one OODA cycle driver behind every pipeline.
+
+    :meth:`_drive_cycle` runs generate → observe/orient → decide → act
+    over ``self.shards`` and is the only place a cycle is instrumented and
+    published: the ``cycle`` span and its ``observe``/``decide``/``act``
+    phase spans, the ``autocomp.hist.{observe,decide,act,cycle}_wall_s``
+    histograms, the ``autocomp.cycles``/``autocomp.cycle.*`` records, the
+    ``cycle`` tap event and the feedback hooks — the last four fed the
+    merged report, once per cycle.
+
+    :class:`AutoCompPipeline` is the one-shard inline case: it is its own
+    only shard.  With one shard the driver skips key assignment, the
+    generation-order merge and the per-shard ``shard`` spans, and local
+    selection collapses to global (one shard owns the whole budget).
+    With more shards it calls the multi-shard hooks of
+    :class:`~repro.core.sharding.ShardedPipeline` (``assign``,
+    ``_shard_for``, ``_observe_shards``, ``_decide_local``).
+
+    Every pipeline exposes the same surface: ``shards``, ``policy``,
+    ``selector``, ``generation``, ``telemetry``, ``tracer``, ``taps``,
+    ``feedback_hooks``, ``invalidate``, ``close`` and the context-manager
+    protocol.
+    """
+
+    #: Decide placement and merge order (only the sharded plane varies them).
+    selection = "global"
+    merge_order = "generation"
+    _cycle_index = 0
+
+    @property
+    def n_shards(self) -> int:
+        """Number of shards (1 for a plain pipeline)."""
+        return len(self.shards)
+
+    def begin_cycle(self, now: float) -> CycleReport:
+        """Allocate the next cycle's report (advances the cycle index)."""
+        report = CycleReport(cycle_index=self._cycle_index, started_at=now)
+        self._cycle_index += 1
+        return report
+
+    def close(self, timeout: float | None = None) -> None:
+        """Release execution resources (idempotent); inline pipelines hold none."""
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
+    def _drive_cycle(
+        self, now: float, simulator: Simulator | None
+    ) -> ShardedCycleReport:
+        """Run one OODA pass: the merged report plus per-shard detail."""
+        if simulator is not None:
+            now = simulator.now
+        wall_start = time.perf_counter()
+        sharded = len(self.shards) > 1
+        tracer = self.tracer
+        telemetry = self.telemetry
+        report = self.begin_cycle(now)
+
+        def phase(name: str, histogram: str, work: Callable, **attrs):
+            start = time.perf_counter()
+            try:
+                if tracer is None:
+                    return work()
+                with tracer.span(name, **attrs):
+                    return work()
+            finally:
+                telemetry.observe(histogram, time.perf_counter() - start)
+
+        cycle_span = None
+        if tracer is not None:
+            extra = {"shards": len(self.shards)} if sharded else {}
+            cycle_span = tracer.begin("cycle", cycle_index=report.cycle_index, **extra)
+        try:
+            keys, shard_keys, shard_reports = self._generate(report, now)
+            per_shard, observe_wall, decisions = phase(
+                "observe",
+                "autocomp.hist.observe_wall_s",
+                lambda: self._observe(shard_keys, shard_reports, now),
+                **({"mode": self.workers} if sharded else {}),
+            )
+            selected = phase(
+                "decide",
+                "autocomp.hist.decide_wall_s",
+                lambda: self._decide(keys, per_shard, report, shard_reports, decisions),
+            )
+            phase(
+                "act",
+                "autocomp.hist.act_wall_s",
+                lambda: self._act(selected, report, shard_reports, simulator),
+            )
+            cycle = ShardedCycleReport(
+                report=report,
+                shard_reports=shard_reports,
+                shard_observe_wall_s=observe_wall,
+                cycle_wall_s=time.perf_counter() - wall_start,
+            )
+            self._finish_cycle(cycle, now)
+        finally:
+            telemetry.observe(
+                "autocomp.hist.cycle_wall_s", time.perf_counter() - wall_start
+            )
+            if cycle_span is not None:
+                tracer.end(cycle_span, selected=len(report.selected))
+        return cycle
+
+    # --- phases ----------------------------------------------------------------
+
+    def _generate(self, report: CycleReport, now: float):
+        """Candidate keys, each shard's slice of them, and the shard reports."""
+        shards = self.shards
+        if len(shards) == 1:
+            keys = shards[0].connector.list_candidates(self.generation)
+            report.candidates_generated = len(keys)
+            return keys, [keys], [report]
+        if self.merge_order == "any":
+            # Order-insensitive merging lets each shard list its own
+            # consistent-hash slice directly (vectorised where the
+            # connector supports it).
+            keys: list[CandidateKey] = []
+            shard_keys = [
+                shard.connector.list_candidates_sharded(
+                    self.generation, len(shards), shard_index
+                )
+                for shard_index, shard in enumerate(shards)
+            ]
+            report.candidates_generated = sum(len(s) for s in shard_keys)
+        else:
+            # List once and partition, keeping generation order for the merge.
+            keys = shards[0].connector.list_candidates(self.generation)
+            report.candidates_generated = len(keys)
+            shard_keys = self.assign(keys)
+        shard_reports = [shard.begin_cycle(now) for shard in shards]
+        for shard_report, subset in zip(shard_reports, shard_keys):
+            shard_report.candidates_generated = len(subset)
+        return keys, shard_keys, shard_reports
+
+    def _observe(self, shard_keys, shard_reports, now: float):
+        """Observe + orient: inline for one shard, else across the shards.
+
+        Returns per-shard survivors, per-shard observe walls and per-shard
+        worker decisions (None where the coordinator decides).
+        """
+        if len(self.shards) > 1:
+            return self._observe_shards(shard_keys, shard_reports, now)
+        start = time.perf_counter()
+        candidates = self.shards[0].observe_orient(shard_keys[0], now, shard_reports[0])
+        return [candidates], [time.perf_counter() - start], [None]
+
+    def _decide(self, keys, per_shard, report, shard_reports, decisions):
+        """Decide: rank and select once over the (merged) survivors."""
+        if len(per_shard) > 1:
+            if self.selection == "local":
+                return self._decide_local(per_shard, report, shard_reports, decisions)
+            merged = self._merge(keys, per_shard)
+            report.after_stats_filters = sum(r.after_stats_filters for r in shard_reports)
+            report.after_trait_filters = len(merged)
+        else:
+            merged = per_shard[0]
+        ranked = self.policy.rank(merged)
+        report.ranked = len(ranked)
+        selected = self.selector.select(ranked)
+        report.selected = [c.key for c in selected]
+        if len(per_shard) > 1:
+            for shard_index, shard_report in enumerate(shard_reports):
+                shard_report.ranked = len(per_shard[shard_index])
+                shard_report.selected = [
+                    key for key in report.selected if self._shard_for(key) == shard_index
+                ]
+        return selected
+
+    def _merge(self, keys, per_shard: list[list[Candidate]]) -> list[Candidate]:
+        """Concatenate shard survivors, or rebuild generation order."""
+        if self.merge_order == "any":
+            return [c for candidates in per_shard for c in candidates]
+        # Rebuild generation order, id-keyed within one cycle (every key
+        # object is alive for the whole merge) to avoid a Python-level
+        # content hash per dict operation.
+        by_key: dict[int, Candidate] = {}
+        total = 0
+        for candidates in per_shard:
+            total += len(candidates)
+            for candidate in candidates:
+                by_key[id(candidate.key)] = candidate
+        lookup = by_key.get
+        merged = [c for c in (lookup(id(key)) for key in keys) if c is not None]
+        if len(merged) != total:
+            # A connector returned candidates under fresh key objects;
+            # fall back to content-keyed merging.
+            by_content = {c.key: c for candidates in per_shard for c in candidates}
+            merged = [c for c in (by_content.get(key) for key in keys) if c is not None]
+        return merged
+
+    def _act(self, selected, report, shard_reports, simulator) -> None:
+        """Act: one deterministic pass in rank order, or one per shard."""
+        shards = self.shards
+        if len(shards) > 1 and self.selection == "local":
+            for shard, shard_report, chosen in zip(shards, shard_reports, selected):
+                shard.act(
+                    chosen, shard_report, simulator=simulator, on_result=report.results.append
+                )
+            return
+        on_result = None
+        if len(shards) > 1:
+
+            def on_result(result: ExecutionResult) -> None:
+                # The act pass runs through shard 0, whose pipeline evicts
+                # its own connector's cache; mirror the eviction to the
+                # shard that actually owns (observes) the compacted key.
+                if result.success:
+                    owner = self._shard_for(result.candidate)
+                    if owner != 0:
+                        shards[owner].connector.invalidate(result.candidate)
+
+        # Shards partition the observation work, not the executor.
+        shards[0].act(selected, report, simulator=simulator, on_result=on_result)
+
+    def _finish_cycle(self, cycle: ShardedCycleReport, now: float) -> None:
+        """Record the cycle, publish its ``cycle`` event, fire feedback hooks."""
+        report = cycle.report
+        self.telemetry.record("autocomp.cycle.candidates", now, report.candidates_generated)
+        self.telemetry.record("autocomp.cycle.selected", now, len(report.selected))
+        self.telemetry.increment("autocomp.cycles")
+        self._record_shards(cycle, now)
+        if self.taps is not None and self.taps.has_subscribers("cycle"):
+            # Imported lazily: repro.replay sits above repro.core in the
+            # layering, so a module-level import would be circular.
+            from repro.replay.trace import serialize_cycle_report
+
+            # Callers that never pass `now` (it defaults to 0.0) must not
+            # stamp a cycle event *before* the commits already recorded at
+            # catalog-clock time — that trace would fail the reader's
+            # non-decreasing-time validation.  The connector's clock, when
+            # it has one, is the authoritative floor.
+            catalog = getattr(self.shards[0].connector, "catalog", None)
+            t = now if catalog is None else max(now, catalog.clock.now)
+            self.taps.publish("cycle", {"t": t, "report": serialize_cycle_report(report)})
+        for hook in self.feedback_hooks:
+            hook(report)
+
+    def _record_shards(self, cycle: ShardedCycleReport, now: float) -> None:
+        """Per-shard telemetry; only the sharded plane records any."""
+
+
+class AutoCompPipeline(CycleDriver):
     """A configured AutoComp instance.
 
     Args:
@@ -107,9 +380,12 @@ class AutoCompPipeline:
         taps: optional event bus; when set, every finished cycle publishes
             a ``cycle`` event carrying the fully serialized report — the
             Policy Lab's catalog-trace cadence marker.  Assignable after
-            construction too (``pipeline.taps = bus``).  Leave unset on
-            the per-shard pipelines of a sharded plane (the coordinator
-            publishes the merged report instead).
+            construction too (``pipeline.taps = bus``).
+
+    As a shard of a :class:`~repro.core.sharding.ShardedPipeline`, only the
+    phase methods run (:meth:`observe_orient`, :meth:`orient`,
+    :meth:`act`); the plane's own ``tracer``, ``taps`` and
+    ``feedback_hooks`` instrument and publish the merged cycle.
     """
 
     def __init__(
@@ -149,7 +425,11 @@ class AutoCompPipeline:
         #: so concurrent cycles agree on who executes what *after* ranking
         #: but *before* any task is built.
         self.act_gates: list[Callable[[list[Candidate]], list[Candidate]]] = []
-        self._cycle_index = 0
+
+    @property
+    def shards(self) -> list[AutoCompPipeline]:
+        """A plain pipeline is its own only shard."""
+        return [self]
 
     def invalidate(self, key: CandidateKey) -> None:
         """Write-event hook: forward a notification to the connector's cache.
@@ -172,73 +452,14 @@ class AutoCompPipeline:
         Returns:
             The cycle's :class:`CycleReport`.
         """
-        if simulator is not None:
-            now = simulator.now
-        report = self.begin_cycle(now)
-        tracer = self.tracer
-        cycle_start = time.perf_counter()
-        cycle_span = (
-            tracer.begin("cycle", cycle_index=report.cycle_index)
-            if tracer is not None
-            else None
-        )
-        try:
-            keys = self.generate(report)
-            candidates = self._timed_phase(
-                "observe",
-                "autocomp.hist.observe_wall_s",
-                lambda: self.observe_orient(keys, now, report),
-            )
-            selected = self._timed_phase(
-                "decide",
-                "autocomp.hist.decide_wall_s",
-                lambda: self.decide(candidates, report),
-            )
-            self._timed_phase(
-                "act",
-                "autocomp.hist.act_wall_s",
-                lambda: self.act(selected, report, simulator=simulator),
-            )
-            self.finish_cycle(report, now)
-        finally:
-            self.telemetry.observe(
-                "autocomp.hist.cycle_wall_s", time.perf_counter() - cycle_start
-            )
-            if cycle_span is not None:
-                tracer.end(cycle_span, selected=len(report.selected))
-        return report
-
-    def _timed_phase(self, name: str, histogram: str, work: Callable):
-        """Run one phase under a span (when tracing) and a wall histogram."""
-        tracer = self.tracer
-        start = time.perf_counter()
-        try:
-            if tracer is not None:
-                with tracer.span(name):
-                    return work()
-            return work()
-        finally:
-            self.telemetry.observe(histogram, time.perf_counter() - start)
+        return self._drive_cycle(now, simulator).report
 
     # --- phases ----------------------------------------------------------------
     #
-    # ``run_cycle`` composes these; the scale-out control plane
-    # (:class:`~repro.core.sharding.ShardedPipeline`) calls them directly so
-    # it can run the observe/orient phases of many shards concurrently and
-    # interpose a fleet-level decide phase between orient and act.
-
-    def begin_cycle(self, now: float) -> CycleReport:
-        """Allocate the next cycle's report (advances the cycle index)."""
-        report = CycleReport(cycle_index=self._cycle_index, started_at=now)
-        self._cycle_index += 1
-        return report
-
-    def generate(self, report: CycleReport | None = None) -> list[CandidateKey]:
-        """Generate phase: candidate keys from the connector."""
-        keys = self.connector.list_candidates(self.generation)
-        if report is not None:
-            report.candidates_generated = len(keys)
-        return keys
+    # The cycle driver composes these for this pipeline alone, or for every
+    # shard of a :class:`~repro.core.sharding.ShardedPipeline` — which runs
+    # the observe/orient phases of many shards concurrently before one
+    # fleet-level decide phase.
 
     def worker_transport(self, kind: str | None = None):
         """This pipeline's :class:`~repro.core.transport.WorkerTransport`.
@@ -290,18 +511,6 @@ class AutoCompPipeline:
             report.after_trait_filters = len(candidates)
         return candidates
 
-    def decide(
-        self, candidates: list[Candidate], report: CycleReport | None = None
-    ) -> list[Candidate]:
-        """Decide phase: rank with the policy, select within budget."""
-        ranked = self.policy.rank(candidates)
-        if report is not None:
-            report.ranked = len(ranked)
-        selected = self.selector.select(ranked)
-        if report is not None:
-            report.selected = [c.key for c in selected]
-        return selected
-
     def act(
         self,
         selected: Sequence[Candidate],
@@ -352,31 +561,7 @@ class AutoCompPipeline:
         # Sync mode returns results directly; ``record`` already captured them.
         del sync_results
 
-    def finish_cycle(self, report: CycleReport, now: float) -> None:
-        """Record cycle telemetry, publish the cycle event, fire feedback hooks."""
-        self._record_cycle(report, now)
-        if self.taps is not None and self.taps.has_subscribers("cycle"):
-            # Imported lazily: repro.replay sits above repro.core in the
-            # layering, so a module-level import would be circular.
-            from repro.replay.trace import serialize_cycle_report
-
-            # Callers that never pass `now` (it defaults to 0.0) must not
-            # stamp a cycle event *before* the commits already recorded at
-            # catalog-clock time — that trace would fail the reader's
-            # non-decreasing-time validation.  The connector's clock, when
-            # it has one, is the authoritative floor.
-            catalog = getattr(self.connector, "catalog", None)
-            t = now if catalog is None else max(now, catalog.clock.now)
-            self.taps.publish("cycle", {"t": t, "report": serialize_cycle_report(report)})
-        for hook in self.feedback_hooks:
-            hook(report)
-
     # --- telemetry -------------------------------------------------------------
-
-    def _record_cycle(self, report: CycleReport, now: float) -> None:
-        self.telemetry.record("autocomp.cycle.candidates", now, report.candidates_generated)
-        self.telemetry.record("autocomp.cycle.selected", now, len(report.selected))
-        self.telemetry.increment("autocomp.cycles")
 
     def _record_result(self, result: ExecutionResult) -> None:
         if result.skipped:

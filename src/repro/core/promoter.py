@@ -604,30 +604,16 @@ def apply_variant(pipeline, variant):
 
     The write side of the :class:`PolicyStore` seam: policy, selector,
     scheduler, generation strategy and the policy-owned statistics filters
-    (min-small-files, quiescence) are swapped in place — connectors,
-    backends, caches, act gates, taps and feedback hooks are untouched, so
-    a promotion never drops daemon gates or recorded history.  On a
-    :class:`~repro.core.sharding.ShardedPipeline` every shard is updated
-    and the coordinator's fleet-level decide state (including local-mode
-    split selectors) is rebuilt to match.
+    (min-small-files, quiescence) are swapped in place on every shard (a
+    plain pipeline is its own only shard) — connectors, backends, caches,
+    act gates, taps and feedback hooks are untouched, so a promotion never
+    drops daemon gates or recorded history.  A sharded plane reads its
+    fleet-level decide state from shard 0 at cycle time, so it follows.
 
     Returns the pipeline, reconfigured.
     """
-    shards = getattr(pipeline, "shards", None)
-    if shards:
-        for shard in shards:
-            _apply_to_pipeline(shard, variant)
-        pipeline.policy = shards[0].policy
-        pipeline.selector = shards[0].selector
-        pipeline.generation = shards[0].generation
-        if getattr(pipeline, "_local_selectors", None) is not None:
-            from repro.core.sharding import split_selector
-
-            pipeline._local_selectors = split_selector(
-                pipeline.selector, len(shards)
-            )
-    else:
-        _apply_to_pipeline(pipeline, variant)
+    for shard in pipeline.shards:
+        _apply_to_pipeline(shard, variant)
     return pipeline
 
 

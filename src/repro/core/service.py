@@ -33,6 +33,7 @@ from repro.core.scheduling import (
     SequentialScheduler,
 )
 from repro.core.selection import BudgetSelector, Selector, TopKSelector
+from repro.core.sharding import ShardedPipeline
 from repro.core.traits import (
     ComputeCostTrait,
     FileCountReductionTrait,
@@ -63,8 +64,29 @@ def openhouse_pipeline(
     min_small_files: int = 2,
     quiesce_s: float = 0.0,
     scheduler: Scheduler | None = None,
-) -> AutoCompPipeline:
+    n_shards: int = 1,
+    stats_cache=None,
+    selection: str = "global",
+    workers: str = "threads",
+    worker_decide: bool | None = None,
+    transport: str | None = None,
+    max_workers: int | None = None,
+    telemetry=None,
+    tracer=None,
+) -> AutoCompPipeline | ShardedPipeline:
     """The paper's OpenHouse AutoComp configuration, ready to run.
+
+    One factory for both deployment shapes: ``n_shards=1`` (the default)
+    returns a plain :class:`AutoCompPipeline`; ``n_shards > 1`` returns a
+    :class:`~repro.core.sharding.ShardedPipeline` whose shards *share* one
+    :class:`~repro.core.connectors.LstConnector` (and its optional stats
+    cache) and every decision component: the sharded control plane
+    partitions the work, not the catalog, and a shared connector keeps
+    dense-cache slot interning consistent across shards.  The LST
+    connector exports picklable
+    :class:`~repro.catalog.snapshot.CatalogObservationSlice` shard work,
+    so ``workers="processes"`` runs the realistic catalog path on true
+    multi-core workers.
 
     Args:
         catalog: control plane holding the tables.
@@ -83,16 +105,33 @@ def openhouse_pipeline(
             per *partition*, letting AutoComp dodge hot partitions and the
             conflicts they cause).  0 disables the filter.
         scheduler: override the default partition-serial scheduler.
+        n_shards: shard count.
+        stats_cache: optional incremental-observation cache
+            (:class:`~repro.core.statscache.StatsCache` or
+            :class:`~repro.core.statscache.IndexedCandidateCache`).
+        selection / workers / worker_decide / transport / max_workers:
+            forwarded to :class:`~repro.core.sharding.ShardedPipeline`
+            when ``n_shards > 1`` (``transport=None`` negotiates the
+            columnar shared-memory encoding, which the LST connector
+            speaks); one shard always runs inline.
+        telemetry: metric sink for the pipeline and its shards
+            (defaults to the catalog's).
+        tracer: optional :class:`~repro.obs.tracing.Tracer` installed on
+            the pipeline (and thus every shard), so cycles emit
+            ``cycle → observe/decide/act`` spans.
 
     Returns:
-        A fully wired :class:`AutoCompPipeline`.
+        A fully wired :class:`AutoCompPipeline` or
+        :class:`~repro.core.sharding.ShardedPipeline`.
     """
     if not 0 < benefit_weight < 1:
         raise ValidationError("benefit_weight must be in (0, 1)")
     if k is None and budget_gbhr is None:
         raise ValidationError("provide k (fixed) or budget_gbhr (dynamic)")
+    if n_shards <= 0:
+        raise ValidationError("n_shards must be positive")
     cost_model = cost_model if cost_model is not None else CostModel()
-    connector = LstConnector(catalog)
+    connector = LstConnector(catalog, stats_cache=stats_cache)
     backend = LstExecutionBackend(connector, compaction_cluster, cost_model)
     traits = TraitRegistry(
         [
@@ -127,93 +166,29 @@ def openhouse_pipeline(
     ]
     if quiesce_s > 0:
         stats_filters.append(QuiescenceFilter(quiesce_s))
-    return AutoCompPipeline(
-        connector=connector,
-        backend=backend,
-        traits=traits,
-        policy=policy,
-        selector=selector,
-        scheduler=scheduler,
-        generation=generation,
-        stats_filters=stats_filters,
-        telemetry=catalog.telemetry,
-    )
-
-
-def openhouse_sharded_pipeline(
-    catalog: Catalog,
-    compaction_cluster: Cluster,
-    n_shards: int = 4,
-    stats_cache: "object | None" = None,
-    selection: str = "global",
-    workers: str = "threads",
-    worker_decide: bool | None = None,
-    transport: str | None = None,
-    max_workers: int | None = None,
-    telemetry=None,
-    tracer=None,
-    **pipeline_kwargs,
-):
-    """The OpenHouse configuration behind the scale-out control plane.
-
-    Builds ``n_shards`` :func:`openhouse_pipeline`-shaped shards that
-    *share* one :class:`~repro.core.connectors.LstConnector` (and its
-    optional stats cache): the sharded control plane partitions the work,
-    not the catalog, and a shared connector keeps dense-cache slot
-    interning consistent across shards.  The LST connector exports
-    picklable :class:`~repro.catalog.snapshot.CatalogObservationSlice`
-    shard work, so ``workers="processes"`` runs the realistic catalog
-    path on true multi-core workers.
-
-    Args:
-        catalog: control plane holding the tables.
-        compaction_cluster: dedicated cluster for rewrite jobs.
-        n_shards: shard count.
-        stats_cache: optional shared incremental-observation cache
-            (:class:`~repro.core.statscache.StatsCache` or
-            :class:`~repro.core.statscache.IndexedCandidateCache`).
-        selection / workers / worker_decide / transport / max_workers:
-            forwarded to :class:`~repro.core.sharding.ShardedPipeline`
-            (``transport=None`` negotiates the columnar shared-memory
-            encoding, which the LST connector speaks).
-        telemetry: fleet-level metric sink (defaults to the catalog's).
-        tracer: optional :class:`~repro.obs.tracing.Tracer` installed on
-            the sharded pipeline (and thus every shard), so cycles emit
-            stitched ``cycle → shard → observe/decide/act`` spans.
-        **pipeline_kwargs: forwarded to :func:`openhouse_pipeline`
-            (``k``, ``budget_gbhr``, ``generation``, filters, …).
-
-    Returns:
-        A ready :class:`~repro.core.sharding.ShardedPipeline`.
-    """
-    from repro.core.sharding import ShardedPipeline
-
-    if n_shards <= 0:
-        raise ValidationError("n_shards must be positive")
-    template = openhouse_pipeline(catalog, compaction_cluster, **pipeline_kwargs)
-    connector = template.connector
-    connector.stats_cache = stats_cache
-    shards = [template]
-    for _ in range(n_shards - 1):
-        shards.append(
-            AutoCompPipeline(
-                connector=connector,
-                backend=template.backend,
-                traits=template.traits,
-                policy=template.policy,
-                selector=template.selector,
-                # Shared on purpose: schedulers hold configuration only
-                # (no cross-call state), and the sharded control plane
-                # runs shard act phases serially on the coordinator — a
-                # fresh default-constructed copy would silently drop any
-                # caller-configured scheduling limits.
-                scheduler=template.scheduler,
-                generation=template.generation,
-                stats_filters=template.stats_filters,
-                trait_filters=template.trait_filters,
-                telemetry=template.telemetry,
-            )
+    if telemetry is None:
+        telemetry = catalog.telemetry
+    shards = [
+        AutoCompPipeline(
+            connector=connector,
+            backend=backend,
+            traits=traits,
+            policy=policy,
+            selector=selector,
+            # Shared on purpose: schedulers hold configuration only (no
+            # cross-call state), and shard act phases run serially on the
+            # coordinator — a fresh default-constructed copy would
+            # silently drop any caller-configured scheduling limits.
+            scheduler=scheduler,
+            generation=generation,
+            stats_filters=stats_filters,
+            telemetry=telemetry,
+            tracer=tracer,
         )
+        for _ in range(n_shards)
+    ]
+    if n_shards == 1:
+        return shards[0]
     return ShardedPipeline(
         shards,
         selection=selection,
@@ -221,9 +196,14 @@ def openhouse_sharded_pipeline(
         worker_decide=worker_decide,
         transport=transport,
         max_workers=max_workers,
-        telemetry=telemetry if telemetry is not None else catalog.telemetry,
+        telemetry=telemetry,
         tracer=tracer,
     )
+
+
+def openhouse_sharded_pipeline(catalog, compaction_cluster, n_shards: int = 4, **kwargs):
+    """:func:`openhouse_pipeline` with ``n_shards=4`` by default (kept for callers)."""
+    return openhouse_pipeline(catalog, compaction_cluster, n_shards=n_shards, **kwargs)
 
 
 class AutoCompService:
@@ -232,8 +212,9 @@ class AutoCompService:
     Args:
         pipeline: the configured pipeline — a plain
             :class:`~repro.core.pipeline.AutoCompPipeline` or a
-            :class:`~repro.core.sharding.ShardedPipeline` (notifications
-            are routed to the owning shard's connector either way).
+            :class:`~repro.core.sharding.ShardedPipeline` (both expose the
+            same surface; notifications are routed to the owning shard's
+            connector either way).
         interval_s: periodic cycle spacing.
         policy_store: optional
             :class:`~repro.core.promoter.PolicyStore`; when set, every
@@ -248,15 +229,14 @@ class AutoCompService:
             optimize-after-write hooks since the last cycle; exposed so
             deployments can prioritise or short-circuit observation for
             recently written tables.
-        cycle_hooks: callables invoked with each finished cycle's report
-            (the merged fleet report for sharded pipelines is passed
-            as-is, wrapped in its
-            :class:`~repro.core.sharding.ShardedCycleReport`).  Unlike the
-            pipeline's ``feedback_hooks`` — which fire per shard on a
-            sharded plane — these fire exactly once per service cycle,
-            which is what the
+        cycle_hooks: callables invoked once per service cycle with what
+            the pipeline's ``run_cycle`` returned (a sharded plane's
+            merged report arrives wrapped in its
+            :class:`~repro.core.sharding.ShardedCycleReport`) — what the
             :class:`~repro.core.promoter.PolicyPromoter`'s guard window
-            needs.
+            needs.  The pipeline's own ``feedback_hooks`` also fire once
+            per cycle, with the merged
+            :class:`~repro.core.pipeline.CycleReport`.
     """
 
     def __init__(
@@ -349,7 +329,6 @@ class AutoCompService:
         finally:
             self._in_cycle = False
         self.reports.append(report)
-        self._publish_cycle(report, now if simulator is None else simulator.now)
         for hook in self.cycle_hooks:
             hook(report)
         return report
@@ -403,12 +382,7 @@ class AutoCompService:
     # --- self-evaluation (Policy Lab over the service's own history) ------------
 
     def _catalog(self) -> Catalog:
-        connector = getattr(self.pipeline, "connector", None)
-        if connector is None:
-            shards = getattr(self.pipeline, "shards", None)
-            if shards:
-                connector = shards[0].connector
-        catalog = getattr(connector, "catalog", None)
+        catalog = getattr(self.pipeline.shards[0].connector, "catalog", None)
         if catalog is None:
             raise ValidationError(
                 "self-evaluation needs an LST-catalog pipeline "
@@ -417,12 +391,7 @@ class AutoCompService:
         return catalog
 
     def _compaction_cluster(self):
-        backend = getattr(self.pipeline, "backend", None)
-        if backend is None:
-            shards = getattr(self.pipeline, "shards", None)
-            if shards:
-                backend = shards[0].backend
-        return getattr(backend, "cluster", None)
+        return getattr(self.pipeline.shards[0].backend, "cluster", None)
 
     def enable_history(
         self,
@@ -447,12 +416,8 @@ class AutoCompService:
         catalog = self._catalog()
         taps = catalog.taps if catalog.taps is not None else catalog.attach_taps(TapBus())
         self._history_taps = taps
-        if getattr(self.pipeline, "taps", None) is None and not hasattr(
-            self.pipeline, "shards"
-        ):
-            # Unsharded pipelines publish their own cycle events; sharded
-            # planes leave shard taps unset and the service publishes the
-            # merged fleet report instead (see _publish_cycle).
+        if self.pipeline.taps is None:
+            # Every pipeline publishes its merged report once per cycle.
             self.pipeline.taps = taps
         self._history = CatalogHistoryRing(
             catalog,
@@ -481,21 +446,6 @@ class AutoCompService:
         ring = self.enable_history(**ring_kwargs)
         ring.load(path)
         return ring
-
-    def _publish_cycle(self, report, now: float) -> None:
-        """Publish a cycle marker for the history ring when the pipeline won't."""
-        taps = self._history_taps
-        if taps is None or not taps.has_subscribers("cycle"):
-            return
-        if getattr(self.pipeline, "taps", None) is taps:
-            return  # the pipeline already published this cycle
-        from repro.replay.trace import serialize_cycle_report
-
-        merged = getattr(report, "report", report)  # ShardedCycleReport → fleet report
-        # Floor the stamp at the catalog clock so a caller omitting `now`
-        # cannot publish a cycle event earlier than already-recorded commits.
-        t = max(now, self._history.catalog.clock.now)
-        taps.publish("cycle", {"t": t, "report": serialize_cycle_report(merged)})
 
     def evaluate_recent(
         self,

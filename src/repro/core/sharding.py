@@ -27,6 +27,9 @@ per-shard :class:`~repro.core.pipeline.AutoCompPipeline` instances:
 Determinism (NFR2) is preserved in both modes: hashing is content-based,
 merging follows generation order, and the act phase executes in a single
 deterministic order.
+
+The cycle itself is run by :class:`~repro.core.pipeline.CycleDriver`, the
+one driver every pipeline shares; a plain pipeline is its one-shard case.
 """
 
 from __future__ import annotations
@@ -36,12 +39,15 @@ import hashlib
 import os
 import time
 from concurrent.futures import wait as wait_futures
-from dataclasses import dataclass, field
 from typing import Sequence
 
 from repro.core.candidates import Candidate, CandidateKey
-from repro.core.pipeline import AutoCompPipeline, CycleReport
-from repro.core.ranking import RankingPolicy
+from repro.core.pipeline import (
+    AutoCompPipeline,
+    CycleDriver,
+    CycleReport,
+    ShardedCycleReport,
+)
 from repro.core.selection import AllSelector, BudgetSelector, Selector, TopKSelector
 from repro.core.workers import (
     TRANSPORT_KINDS,
@@ -115,43 +121,27 @@ def split_selector(selector: Selector, n_shards: int) -> list[Selector]:
     )
 
 
-@dataclass
-class ShardedCycleReport:
-    """One fleet-level cycle: the merged view plus per-shard detail."""
-
-    #: Fleet-level merged report (counts summed, selection in rank order,
-    #: results shared with the act phase).
-    report: CycleReport
-    #: Per-shard reports (observation counts and each shard's share of the
-    #: selection).
-    shard_reports: list[CycleReport] = field(default_factory=list)
-    #: Wall-clock seconds each shard spent in observe/orient.
-    shard_observe_wall_s: list[float] = field(default_factory=list)
-    #: Wall-clock seconds for the whole cycle.
-    cycle_wall_s: float = 0.0
-
-    @property
-    def selected(self) -> list[CandidateKey]:
-        """Fleet-level selection (delegates to the merged report)."""
-        return self.report.selected
-
-
-class ShardedPipeline:
+class ShardedPipeline(CycleDriver):
     """N per-shard pipelines behind one fleet-level OODA cycle.
 
     All shards are expected to view the same world (their connectors list
     the same candidates) and to share filter/trait configuration; the
     sharded control plane partitions the *work*, not the data.  Candidate
-    listing therefore happens once, through shard 0's connector.
+    listing therefore happens once, through shard 0's connector, and the
+    fleet-level ``policy``, ``selector`` and ``generation`` are shard 0's,
+    read at cycle time (reconfigure the shards, not the plane).  Local
+    selection splits the live selector across shards every cycle.
+
+    The cycle itself is :class:`~repro.core.pipeline.CycleDriver`'s, the
+    same driver a plain pipeline runs as its one-shard case; this class
+    adds key assignment, the worker pools and the per-shard telemetry.
+    Like every pipeline it carries ``taps`` and ``feedback_hooks``
+    (assignable attributes): a cycle publishes and feeds back its merged
+    report once, whatever the shard pipelines' own settings.
 
     Args:
         shards: the per-shard pipelines (their connectors typically carry
             per-shard stats caches for incremental observation).
-        policy: fleet-level ranking policy for global selection
-            (default: shard 0's policy).
-        selector: fleet-level selection budget (default: shard 0's
-            selector); split across shards in local mode.
-        generation: candidate-generation strategy (default: shard 0's).
         selection: ``"global"`` (merge, then rank/select once — exactly
             equivalent to the unsharded pipeline) or ``"local"``
             (per-shard decide under split budgets).
@@ -215,9 +205,6 @@ class ShardedPipeline:
     def __init__(
         self,
         shards: Sequence[AutoCompPipeline],
-        policy: RankingPolicy | None = None,
-        selector: Selector | None = None,
-        generation: str | None = None,
         selection: str = "global",
         merge_order: str = "generation",
         workers: str = "threads",
@@ -249,10 +236,9 @@ class ShardedPipeline:
             )
         self.merge_order = merge_order
         self.shards = list(shards)
-        self.policy = policy if policy is not None else self.shards[0].policy
-        self.selector = selector if selector is not None else self.shards[0].selector
-        self.generation = generation if generation is not None else self.shards[0].generation
         self.selection = selection
+        if selection == "local":
+            split_selector(self.selector, len(self.shards))  # rejects unsplittable budgets
         worker_kinds = [
             tuple(shard.connector.worker_transport_kinds()) for shard in self.shards
         ]
@@ -313,11 +299,8 @@ class ShardedPipeline:
         self._shard_telemetry = [
             self.telemetry.scoped(f"autocomp.shard{i:02d}") for i in range(len(self.shards))
         ]
-        self._local_selectors = (
-            split_selector(self.selector, len(self.shards))
-            if selection == "local"
-            else None
-        )
+        self.taps = None
+        self.feedback_hooks: list = []
         # Consistent hashing is stable per key, so assignments are memoised
         # by object id (connectors intern their keys): an int-keyed dict
         # hit per key per cycle instead of a content hash.  The value pins
@@ -328,9 +311,23 @@ class ShardedPipeline:
         #: Hard cap on the memo: connectors that rebuild key objects every
         #: cycle would otherwise grow it (and pin keys) without bound.
         self._shard_memo_limit = 262_144
-        self._cycle_index = 0
         self._tracer: Tracer | None = None
         self.tracer = tracer
+
+    @property
+    def policy(self):
+        """The fleet-level ranking policy: shard 0's."""
+        return self.shards[0].policy
+
+    @property
+    def selector(self) -> Selector:
+        """The fleet-level selection budget: shard 0's (split in local mode)."""
+        return self.shards[0].selector
+
+    @property
+    def generation(self) -> str:
+        """The candidate-generation strategy: shard 0's."""
+        return self.shards[0].generation
 
     @property
     def tracer(self) -> Tracer | None:
@@ -344,11 +341,6 @@ class ShardedPipeline:
         self._tracer = value
         for shard in self.shards:
             shard.tracer = value
-
-    @property
-    def n_shards(self) -> int:
-        """Number of shards."""
-        return len(self.shards)
 
     def close(self, timeout: float | None = None) -> None:
         """Shut the shard worker pool down (idempotent).
@@ -382,12 +374,6 @@ class ShardedPipeline:
             self._transports[shard_index] = transport
         transport.bind_pool(pool)
         return transport
-
-    def __enter__(self) -> "ShardedPipeline":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
 
     def invalidate(self, key: CandidateKey) -> None:
         """Write-event hook: evict ``key`` from the cache of its owning shard.
@@ -443,154 +429,19 @@ class ShardedPipeline:
         Returns:
             The merged :class:`ShardedCycleReport`.
         """
-        if simulator is not None:
-            now = simulator.now
-        wall_start = time.perf_counter()
-        fleet_report = CycleReport(cycle_index=self._cycle_index, started_at=now)
-        self._cycle_index += 1
-        tracer = self._tracer
-        cycle_span = (
-            tracer.begin(
-                "cycle", cycle_index=fleet_report.cycle_index, shards=len(self.shards)
-            )
-            if tracer is not None
-            else None
-        )
-        try:
-            return self._run_cycle_phases(now, simulator, wall_start, fleet_report)
-        finally:
-            if cycle_span is not None:
-                tracer.end(cycle_span, selected=len(fleet_report.selected))
+        return self._drive_cycle(now, simulator)
 
-    def _run_cycle_phases(
-        self,
-        now: float,
-        simulator: Simulator | None,
-        wall_start: float,
-        fleet_report: CycleReport,
-    ) -> ShardedCycleReport:
-        tracer = self._tracer
+    # --- multi-shard phase hooks (called by the cycle driver) -------------------
 
-        # Generate: with order-insensitive merging each shard lists its own
-        # consistent-hash slice directly (vectorised where the connector
-        # supports it); otherwise list once globally and partition, keeping
-        # the generation order for the merge.
-        if self.merge_order == "any":
-            keys: list[CandidateKey] = []
-            shard_keys = [
-                shard.connector.list_candidates_sharded(
-                    self.generation, len(self.shards), shard_index
-                )
-                for shard_index, shard in enumerate(self.shards)
-            ]
-            fleet_report.candidates_generated = sum(len(s) for s in shard_keys)
-        else:
-            keys = self.shards[0].connector.list_candidates(self.generation)
-            fleet_report.candidates_generated = len(keys)
-            shard_keys = self.assign(keys)
-        shard_reports = [shard.begin_cycle(now) for shard in self.shards]
-        for report, subset in zip(shard_reports, shard_keys):
-            report.candidates_generated = len(subset)
-
-        # Observe + orient each shard's slice (concurrently when possible).
-        observe_start = time.perf_counter()
-        observe_span = (
-            tracer.begin("observe", mode=self.workers) if tracer is not None else None
-        )
-        try:
-            per_shard, observe_wall, decisions = self._observe_all(
-                shard_keys, shard_reports, now
-            )
-        finally:
-            if observe_span is not None:
-                tracer.end(observe_span)
-        self.telemetry.observe(
-            "autocomp.hist.observe_wall_s", time.perf_counter() - observe_start
-        )
-
-        decide_start = time.perf_counter()
-        decide_span = tracer.begin("decide") if tracer is not None else None
-        try:
-            if self.selection == "global":
-                selected = self._decide_global(
-                    keys, per_shard, fleet_report, shard_reports
-                )
-            else:
-                selected = self._decide_local(
-                    per_shard, fleet_report, shard_reports, decisions
-                )
-        finally:
-            if decide_span is not None:
-                tracer.end(decide_span)
-        self.telemetry.observe(
-            "autocomp.hist.decide_wall_s", time.perf_counter() - decide_start
-        )
-
-        act_start = time.perf_counter()
-        act_span = tracer.begin("act") if tracer is not None else None
-        try:
-            self._act_all(selected, fleet_report, shard_reports, simulator)
-        finally:
-            if act_span is not None:
-                tracer.end(act_span)
-        self.telemetry.observe(
-            "autocomp.hist.act_wall_s", time.perf_counter() - act_start
-        )
-
-        for shard, report in zip(self.shards, shard_reports):
-            shard.finish_cycle(report, now)
-        sharded = ShardedCycleReport(
-            report=fleet_report,
-            shard_reports=shard_reports,
-            shard_observe_wall_s=observe_wall,
-            cycle_wall_s=time.perf_counter() - wall_start,
-        )
-        self._record_cycle(sharded, now)
-        return sharded
-
-    def _act_all(
-        self,
-        selected,
-        fleet_report: CycleReport,
-        shard_reports: list[CycleReport],
-        simulator: Simulator | None,
-    ) -> None:
-        """Act phase: one deterministic global pass, or one pass per shard."""
-        if self.selection == "global":
-
-            def invalidate_owner(result) -> None:
-                # The act pass runs through shard 0, whose pipeline evicts
-                # its own connector's cache; mirror the eviction to the
-                # shard that actually owns (observes) the compacted key.
-                if result.success:
-                    owner = self._shard_for(result.candidate)
-                    if owner != 0:
-                        self.shards[owner].connector.invalidate(result.candidate)
-
-            # One deterministic act pass in fleet rank order: shards
-            # partition the observation work, not the executor.
-            self.shards[0].act(
-                selected, fleet_report, simulator=simulator, on_result=invalidate_owner
-            )
-        else:
-            for shard, report, chosen in zip(self.shards, shard_reports, selected):
-                shard.act(
-                    chosen,
-                    report,
-                    simulator=simulator,
-                    on_result=fleet_report.results.append,
-                )
-
-    # --- phases ----------------------------------------------------------------
-
-    def _observe_all(
+    def _observe_shards(
         self,
         shard_keys: list[list[CandidateKey]],
         shard_reports: list[CycleReport],
         now: float,
     ) -> tuple[list[list[Candidate]], list[float], list[ShardDecision | None]]:
+        """Observe + orient every shard's slice (concurrently when possible)."""
         decisions: list[ShardDecision | None] = [None] * len(self.shards)
-        if self.workers == "processes" and self.max_workers > 1 and len(self.shards) > 1:
+        if self.workers == "processes" and self.max_workers > 1:
             return self._observe_processes(shard_keys, shard_reports, now)
         observe_wall = [0.0] * len(self.shards)
         tracer = self._tracer
@@ -618,7 +469,7 @@ class ShardedPipeline:
             return candidates
 
         indices = range(len(self.shards))
-        if self.max_workers > 1 and len(self.shards) > 1:
+        if self.max_workers > 1:
             per_shard = self._pool().run_tasks(
                 [lambda i=i: observe(i) for i in indices]
             )
@@ -669,6 +520,7 @@ class ShardedPipeline:
         observe_wall = [0.0] * len(self.shards)
         decisions: list[ShardDecision | None] = [None] * len(self.shards)
         decide_active = self._worker_decide_active()
+        local_selectors = self._local_selectors() if decide_active else None
         placed_specs = []
         futures = {}
         per_shard: list[list[Candidate]] = []
@@ -712,13 +564,12 @@ class ShardedPipeline:
                     placed, spec = transport.export(
                         shard_keys[shard_index], shard_index, shard.traits
                     )
-                    if spec is not None and decide_active:
-                        assert self._local_selectors is not None
+                    if spec is not None and local_selectors is not None:
                         spec = transport.attach_decide(
                             spec,
                             placed,
                             shard.policy,
-                            self._local_selectors[shard_index],
+                            local_selectors[shard_index],
                             shard.stats_filters,
                             shard.trait_filters,
                         )
@@ -829,54 +680,16 @@ class ShardedPipeline:
             shard_spans[index] = None
             self._tracer.end(span, **attrs)
 
-    def _decide_global(
-        self,
-        keys: list[CandidateKey],
-        per_shard: list[list[Candidate]],
-        fleet_report: CycleReport,
-        shard_reports: list[CycleReport],
-    ) -> list[Candidate]:
-        """Merge shard survivors, rank and select once."""
-        if self.merge_order == "any":
-            merged = [c for candidates in per_shard for c in candidates]
-        else:
-            # Rebuild generation order, id-keyed within one cycle (every
-            # key object is alive for the whole merge) to avoid a Python-
-            # level content hash per dict operation.
-            by_key: dict[int, Candidate] = {}
-            total = 0
-            for candidates in per_shard:
-                total += len(candidates)
-                for candidate in candidates:
-                    by_key[id(candidate.key)] = candidate
-            lookup = by_key.get
-            merged = [c for c in (lookup(id(key)) for key in keys) if c is not None]
-            if len(merged) != total:
-                # A connector returned candidates under fresh key objects;
-                # fall back to content-keyed merging.
-                by_content = {c.key: c for candidates in per_shard for c in candidates}
-                merged = [
-                    c for c in (by_content.get(key) for key in keys) if c is not None
-                ]
-        fleet_report.after_stats_filters = sum(r.after_stats_filters for r in shard_reports)
-        fleet_report.after_trait_filters = len(merged)
-        ranked = self.policy.rank(merged)
-        fleet_report.ranked = len(ranked)
-        selected = self.selector.select(ranked)
-        fleet_report.selected = [c.key for c in selected]
-        for shard_index, report in enumerate(shard_reports):
-            report.ranked = len(per_shard[shard_index])
-            report.selected = [
-                key for key in fleet_report.selected if self._shard_for(key) == shard_index
-            ]
-        return selected
+    def _local_selectors(self) -> list[Selector]:
+        """The live selector split across shards (local selection)."""
+        return split_selector(self.selector, len(self.shards))
 
     def _decide_local(
         self,
         per_shard: list[list[Candidate]],
         fleet_report: CycleReport,
         shard_reports: list[CycleReport],
-        decisions: list[ShardDecision | None] | None = None,
+        decisions: list[ShardDecision | None],
     ) -> list[list[Candidate]]:
         """Per-shard rank and select under split budgets.
 
@@ -885,12 +698,11 @@ class ShardedPipeline:
         — the exact sequence the worker runs, so the two placements are
         value-identical.
         """
-        assert self._local_selectors is not None
         selected: list[list[Candidate]] = []
         for i, (shard, local_selector, candidates, report) in enumerate(
-            zip(self.shards, self._local_selectors, per_shard, shard_reports)
+            zip(self.shards, self._local_selectors(), per_shard, shard_reports)
         ):
-            decision = decisions[i] if decisions is not None else None
+            decision = decisions[i]
             if decision is not None:
                 report.after_stats_filters = decision.after_stats_filters
                 report.after_trait_filters = decision.after_trait_filters
@@ -910,12 +722,12 @@ class ShardedPipeline:
 
     # --- telemetry -------------------------------------------------------------
 
-    def _record_cycle(self, sharded: ShardedCycleReport, now: float) -> None:
+    def _record_shards(self, sharded: ShardedCycleReport, now: float) -> None:
+        """Fleet-level and per-shard scoped records, plus the cache hit ratio."""
         report = sharded.report
         self.telemetry.record("autocomp.fleet.candidates", now, report.candidates_generated)
         self.telemetry.record("autocomp.fleet.selected", now, len(report.selected))
         self.telemetry.record("autocomp.fleet.cycle_wall_s", now, sharded.cycle_wall_s)
-        self.telemetry.observe("autocomp.hist.cycle_wall_s", sharded.cycle_wall_s)
         self.telemetry.increment("autocomp.fleet.cycles")
         for scoped, shard_report, wall in zip(
             self._shard_telemetry, sharded.shard_reports, sharded.shard_observe_wall_s

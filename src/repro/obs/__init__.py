@@ -47,8 +47,8 @@ from repro.obs.tracing import Span, SpanContext, SpanRecorder, Tracer
 #: Every well-known metric name → (kind, help text for the exporter).
 METRICS: dict[str, tuple[str, str]] = {
     # --- cycle / pipeline counters -------------------------------------------
-    "autocomp.cycles": ("counter", "Completed single-pipeline OODA cycles"),
-    "autocomp.fleet.cycles": ("counter", "Completed sharded (fleet) cycles"),
+    "autocomp.cycles": ("counter", "Completed OODA cycles (once per cycle, sharded or not)"),
+    "autocomp.fleet.cycles": ("counter", "Completed cycles of a sharded pipeline"),
     "autocomp.results.success": ("counter", "Compaction jobs that committed"),
     "autocomp.results.conflict": ("counter", "Compaction jobs lost to commit conflicts"),
     "autocomp.results.skipped": ("counter", "Compaction jobs skipped by the scheduler"),
@@ -74,13 +74,13 @@ METRICS: dict[str, tuple[str, str]] = {
     "autocomp.locks.reclaim": ("counter", "Stale locks reclaimed (audit event: reclaim)"),
     "autocomp.locks.compact_commit": ("counter", "Compactions committed under a lock (audit event: compact_commit)"),
     # --- series (timestamped gauges) -----------------------------------------
-    "autocomp.cycle.candidates": ("series", "Candidates observed per single-pipeline cycle"),
-    "autocomp.cycle.selected": ("series", "Candidates selected per single-pipeline cycle"),
-    "autocomp.fleet.candidates": ("series", "Candidates observed per fleet cycle"),
-    "autocomp.fleet.selected": ("series", "Candidates selected per fleet cycle"),
-    "autocomp.fleet.cycle_wall_s": ("series", "Fleet cycle wall-clock seconds"),
+    "autocomp.cycle.candidates": ("series", "Candidates observed per cycle (merged across shards)"),
+    "autocomp.cycle.selected": ("series", "Candidates selected per cycle (merged across shards)"),
+    "autocomp.fleet.candidates": ("series", "Candidates observed per sharded-pipeline cycle"),
+    "autocomp.fleet.selected": ("series", "Candidates selected per sharded-pipeline cycle"),
+    "autocomp.fleet.cycle_wall_s": ("series", "Sharded-pipeline cycle wall-clock seconds"),
     "autocomp.fleet.returned_candidates": ("series", "Candidates returned from process workers per cycle"),
-    "autocomp.fleet.cache_hit_ratio": ("series", "Stats-cache hit ratio per fleet cycle"),
+    "autocomp.fleet.cache_hit_ratio": ("series", "Stats-cache hit ratio per sharded-pipeline cycle"),
     "autocomp.files_reduced": ("series", "Net file-count reduction per committed job"),
     "autocomp.gbhr": ("series", "GB-hours consumed per committed job"),
     # --- histograms (fixed-bucket distributions) ------------------------------
@@ -92,7 +92,7 @@ METRICS: dict[str, tuple[str, str]] = {
     "autocomp.hist.cycle_wall_s": ("histogram", "Full-cycle wall seconds"),
     "autocomp.hist.lock_wait_s": ("histogram", "Lock-manager acquire wait seconds"),
     "autocomp.hist.rewrite_bytes": ("histogram", "Bytes rewritten per committed compaction job"),
-    "autocomp.hist.cache_hit_ratio": ("histogram", "Stats-cache hit ratio per fleet cycle"),
+    "autocomp.hist.cache_hit_ratio": ("histogram", "Stats-cache hit ratio per sharded-pipeline cycle"),
     "autocomp.hist.promoter_eval_wall_s": ("histogram", "Shadow-evaluation wall seconds per promoter tick"),
     "autocomp.hist.admission_admitted": ("histogram", "Candidates admitted per admission decision"),
     "autocomp.hist.admission_deferred": ("histogram", "Candidates deferred per admission decision"),

@@ -266,9 +266,8 @@ class CatalogReplayer:
         finally:
             # Sharded variants (n_shards > 1) own worker pools; release
             # them per replay so sweeps never strand threads.
-            close = getattr(pipeline, "close", None)
-            if close is not None:
-                close()
+            if pipeline is not None:
+                pipeline.close()
 
     def _drive_workload(
         self, catalog, pipeline, variant: PolicyVariant, perturb, run_cycles: bool

@@ -63,9 +63,8 @@ class PolicyVariant:
             :class:`~repro.core.scheduling.ConcurrentScheduler`).
         n_shards: >1 runs the variant behind the sharded control plane —
             with a shared incremental-observation cache for fleet replay,
-            and through
-            :func:`~repro.core.service.openhouse_sharded_pipeline` for
-            catalog replay (global selection keeps sharded cycle reports
+            and through :func:`~repro.core.service.openhouse_pipeline`'s
+            ``n_shards`` for catalog replay (global selection keeps sharded cycle reports
             byte-identical to unsharded ones).
         generation: candidate-generation strategy for catalog replay
             (``table`` / ``partition`` / ``hybrid`` — the §6 strategy
@@ -218,17 +217,20 @@ class PolicyVariant:
         same factory (with synchronous cycles) is what makes
         record → replay byte-identity hold for catalog traces.
 
-        With ``n_shards > 1`` the variant runs behind
-        :func:`~repro.core.service.openhouse_sharded_pipeline` (global
-        selection, single-threaded inline shard workers), so shadow
-        evaluation can exercise the sharded deployment shape offline.
-        Global selection re-merges and ranks shard survivors at the fleet
-        level, so sharded replays stay byte-identical to unsharded ones —
-        the property ``tests/replay`` pins.  Callers owning the pipeline's
-        lifetime should ``close()`` sharded instances (the catalog
+        With ``n_shards > 1`` the variant runs behind the sharded control
+        plane (global selection, single-threaded inline shard workers), so
+        shadow evaluation can exercise the sharded deployment shape
+        offline.  Global selection re-merges and ranks shard survivors at
+        the fleet level, so sharded replays stay byte-identical to
+        unsharded ones — the property ``tests/replay`` pins.  Callers
+        owning the pipeline's lifetime should ``close()`` it (the catalog
         replayer does).
         """
-        kwargs = dict(
+        from repro.core.service import openhouse_pipeline
+
+        pipeline = openhouse_pipeline(
+            catalog,
+            compaction_cluster,
             cost_model=cost_model,
             generation=self.generation,
             k=self.k,
@@ -238,28 +240,12 @@ class PolicyVariant:
             min_small_files=self.min_small_files,
             quiesce_s=self.quiesce_days * DAY,
             scheduler=self.build_scheduler(),
+            n_shards=self.n_shards,
+            max_workers=1,
         )
-        if self.n_shards > 1:
-            from repro.core.service import openhouse_sharded_pipeline
-
-            pipeline = openhouse_sharded_pipeline(
-                catalog,
-                compaction_cluster,
-                n_shards=self.n_shards,
-                workers="threads",
-                max_workers=1,
-                **kwargs,
-            )
-            if self.ranking == "quota_aware":
-                for shard in pipeline.shards:
-                    shard.policy = QuotaAwareWeightedSumPolicy()
-                pipeline.policy = pipeline.shards[0].policy
-            return pipeline
-        from repro.core.service import openhouse_pipeline
-
-        pipeline = openhouse_pipeline(catalog, compaction_cluster, **kwargs)
         if self.ranking == "quota_aware":
-            pipeline.policy = QuotaAwareWeightedSumPolicy()
+            for shard in pipeline.shards:
+                shard.policy = QuotaAwareWeightedSumPolicy()
         return pipeline
 
 

@@ -103,6 +103,61 @@ class TestStatistics:
         assert stats.target_file_size == 512 * MiB
 
 
+class TestCustomStatistics:
+    """A subclass's ``build_statistics`` is the one source of every miss."""
+
+    @pytest.mark.parametrize("cache_kind", ["none", "sparse", "dense"])
+    def test_custom_statistic_reaches_a_trait_through_run_cycle(
+        self, populated_catalog, compaction_cluster, cache_kind
+    ):
+        from dataclasses import replace
+
+        from repro.core import (
+            AutoCompPipeline,
+            IndexedCandidateCache,
+            LstExecutionBackend,
+            MinTraitFilter,
+            Objective,
+            SequentialScheduler,
+            StatsCache,
+            TopKSelector,
+            WeightedSumPolicy,
+        )
+        from repro.core.traits import BENEFIT, Trait
+
+        class HeatConnector(LstConnector):
+            def build_statistics(self, key):
+                base = super().build_statistics(key)
+                heat = 1.0 if key.qualified_table == "db1.flat" else 0.0
+                return replace(base, custom={**base.custom, "heat": heat})
+
+        class HeatTrait(Trait):
+            name = "heat"
+            direction = BENEFIT
+
+            def compute(self, statistics):
+                return statistics.custom.get("heat", 0.0)
+
+        cache = {"none": None, "sparse": StatsCache(), "dense": IndexedCandidateCache()}
+        connector = HeatConnector(populated_catalog, stats_cache=cache[cache_kind])
+        pipeline = AutoCompPipeline(
+            connector=connector,
+            backend=LstExecutionBackend(connector, compaction_cluster),
+            traits=[HeatTrait()],
+            policy=WeightedSumPolicy([Objective("heat", 1.0, maximize=True)]),
+            selector=TopKSelector(3),
+            scheduler=SequentialScheduler(),
+            trait_filters=[MinTraitFilter("heat", 1.0)],
+        )
+        report = pipeline.run_cycle(now=populated_catalog.clock.now)
+        assert report.candidates_generated == 3
+        assert report.after_trait_filters == 1
+        assert [str(key) for key in report.selected] == ["db1.flat"]
+        # Workers rebuild statistics from raw rows, so the override keeps
+        # observation in process.
+        assert connector.worker_transport_kinds() == ()
+
+
 class TestDenseLstCache:
     """The IndexedCandidateCache path on the catalog connector."""
 

@@ -281,3 +281,58 @@ def test_shard_memo_is_bounded_for_fresh_key_objects():
         key = CandidateKey("db", f"fresh{i}", CandidateScope.TABLE)
         assert pipeline._shard_for(key) == shard_for_key(key, 2)
     assert len(pipeline._shard_of) <= 17
+
+
+def _lst_catalog(catalog, simple_schema, monthly_spec):
+    from tests.conftest import fragment_table
+
+    catalog.create_database("db")
+    for i in range(6):
+        table = catalog.create_table(f"db.t{i}", simple_schema, spec=monthly_spec)
+        fragment_table(table, partitions=[(0,)], files_per_partition=4 + i)
+    return catalog
+
+
+def test_sharded_plane_counts_each_cycle_once(catalog, simple_schema, monthly_spec):
+    """Shards share the catalog's telemetry; the plane records each cycle once."""
+    from repro.core import openhouse_pipeline, openhouse_sharded_pipeline
+    from repro.engine import Cluster
+
+    _lst_catalog(catalog, simple_schema, monthly_spec)
+    with openhouse_sharded_pipeline(
+        catalog, Cluster("maint", executors=2), k=2, min_table_age_s=0.0
+    ) as pipeline:
+        for _ in range(3):
+            pipeline.run_cycle(now=catalog.clock.now)
+    telemetry = catalog.telemetry
+    assert telemetry.counter("autocomp.cycles") == 3
+    assert telemetry.counter("autocomp.fleet.cycles") == 3
+    assert len(telemetry.series("autocomp.cycle.candidates")) == 3
+    assert len(telemetry.series("autocomp.cycle.selected")) == 3
+
+    # A plain pipeline counts the same way.
+    plain = openhouse_pipeline(catalog, Cluster("maint", executors=2), telemetry=Telemetry())
+    for _ in range(3):
+        plain.run_cycle(now=catalog.clock.now)
+    assert plain.telemetry.counter("autocomp.cycles") == 3
+    assert len(plain.telemetry.series("autocomp.cycle.candidates")) == 3
+
+
+def test_every_pipeline_feeds_back_its_merged_report_once(
+    catalog, simple_schema, monthly_spec
+):
+    from repro.core import openhouse_pipeline
+    from repro.engine import Cluster
+
+    _lst_catalog(catalog, simple_schema, monthly_spec)
+    for n_shards in (1, 3):
+        with openhouse_pipeline(
+            catalog, Cluster("maint", executors=2), k=2, n_shards=n_shards
+        ) as pipeline:
+            assert pipeline.n_shards == n_shards
+            if n_shards == 1:
+                assert pipeline.shards == [pipeline]  # its own only shard
+            hooked = []
+            pipeline.feedback_hooks.append(hooked.append)
+            cycles = [pipeline.run_cycle(now=catalog.clock.now) for _ in range(2)]
+        assert hooked == [getattr(c, "report", c) for c in cycles]

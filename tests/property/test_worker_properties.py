@@ -293,6 +293,48 @@ class TestLstConnectorModeEquivalence:
             for pipeline in pipelines:
                 pipeline.close()
 
+    @pytest.mark.parametrize("cache_kind", ["none", "stats", "indexed"])
+    @pytest.mark.parametrize("workers", ["threads", "processes"])
+    @pytest.mark.parametrize("generation", ["table", "hybrid"])
+    @given(n_shards=st.integers(min_value=2, max_value=4))
+    @settings(max_examples=3, deadline=None)
+    def test_plain_pipeline_is_the_oracle_for_the_global_merge(
+        self, generation, workers, cache_kind, n_shards
+    ):
+        """The merged global-selection report of an N-shard plane must be
+        byte-identical to the plain pipeline's, cycle after cycle, whatever
+        runs the observe phase and whichever cache serves it."""
+        from repro.core import IndexedCandidateCache, StatsCache, openhouse_pipeline
+        from repro.engine import Cluster
+
+        caches = {"none": lambda: None, "stats": StatsCache, "indexed": IndexedCandidateCache}
+
+        def build(n):
+            catalog = _build_lst_catalog()
+            pipeline = openhouse_pipeline(
+                catalog,
+                Cluster("maint", executors=2),
+                n_shards=n,
+                stats_cache=caches[cache_kind](),
+                workers=workers,
+                max_workers=2,
+                k=6,
+                min_table_age_s=0.0,
+                generation=generation,
+            )
+            return catalog, pipeline
+
+        (catalog_1, plain), (catalog_n, sharded) = build(1), build(n_shards)
+        with plain, sharded:
+            for day in range(3):
+                single = plain.run_cycle(now=catalog_1.clock.now)
+                merged = sharded.run_cycle(now=catalog_n.clock.now).report
+                assert pickle.dumps(dataclasses.asdict(single)) == pickle.dumps(
+                    dataclasses.asdict(merged)
+                ), f"diverged on day {day}"
+                _lst_daily_writes(catalog_1, day)
+                _lst_daily_writes(catalog_n, day)
+
     def test_lst_process_cycles_stay_incremental(self):
         from repro.core import IndexedCandidateCache, openhouse_sharded_pipeline
         from repro.engine import Cluster
