@@ -84,6 +84,8 @@ class Catalog:
         self.taps = taps
         self.lock_manager = None
         self._databases: dict[str, Database] = {}
+        #: Qualified ``'db.table'`` name → table, for O(1) string lookups.
+        self._tables_by_name: dict[str, BaseTable] = {}
         self._policies: dict[str, TablePolicy] = {}
 
     # --- event taps --------------------------------------------------------------
@@ -276,6 +278,7 @@ class Catalog:
             clock=self.clock,
         )
         database.tables[identifier.name] = table
+        self._tables_by_name[str(identifier)] = table
         self._policies[str(identifier)] = policy
         self.telemetry.increment("catalog.tables.created")
         if self.lock_manager is not None:
@@ -301,10 +304,17 @@ class Catalog:
     def load_table(self, identifier: TableIdentifier | str) -> BaseTable:
         """Look up a registered table.
 
+        A registered ``'db.table'`` string resolves with one dict probe;
+        any other string is parsed, so malformed names raise
+        :class:`~repro.errors.ValidationError` as always.
+
         Raises:
             NoSuchTableError: if absent.
         """
         if isinstance(identifier, str):
+            table = self._tables_by_name.get(identifier)
+            if table is not None:
+                return table
             identifier = TableIdentifier.parse(identifier)
         database = self._databases.get(identifier.database)
         if database is None or identifier.name not in database.tables:
@@ -323,6 +333,7 @@ class Catalog:
         if database is None or identifier.name not in database.tables:
             raise NoSuchTableError(str(identifier))
         table = database.tables.pop(identifier.name)
+        self._tables_by_name.pop(str(identifier), None)
         for info in self.fs.namenode.files_under(table.location):
             self.fs.delete_file(info.path)
         self._policies.pop(str(identifier), None)
@@ -354,10 +365,16 @@ class Catalog:
     def policy(self, identifier: TableIdentifier | str) -> TablePolicy:
         """The maintenance policy for a table.
 
+        Like :meth:`load_table`, a registered ``'db.table'`` string
+        resolves with one dict probe and any other string is parsed.
+
         Raises:
             NoSuchTableError: if the table is not registered.
         """
         if isinstance(identifier, str):
+            policy = self._policies.get(identifier)
+            if policy is not None:
+                return policy
             identifier = TableIdentifier.parse(identifier)
         key = str(identifier)
         if key not in self._policies:

@@ -35,6 +35,7 @@ def build_candidate_statistics(
     created_at: float,
     last_modified_at: float,
     quota_utilization: float,
+    size_counts: tuple[int, int, int, int] | None = None,
 ):
     """The single statistics constructor behind live and snapshot observation.
 
@@ -43,15 +44,39 @@ def build_candidate_statistics(
     :meth:`CatalogObservationSlice.statistics` call this, so the two paths
     cannot drift — a shard worker reconstructing statistics from a
     snapshot row produces exactly the object a live observation would.
+
+    Args:
+        size_counts: ``(file_count, total_bytes, small_file_count,
+            small_file_bytes)`` already derived from ``file_sizes`` against
+            ``target_file_size`` (a
+            :meth:`~repro.lst.snapshot.SizeSummary.counts` memo); None
+            derives them here.  Either way the validating
+            :class:`~repro.core.candidates.CandidateStatistics`
+            constructor builds the result.
     """
     # Imported lazily: this module is reachable from ``repro.catalog``
     # before ``repro.core`` finishes initialising (core imports catalog),
     # so a module-level import could bite during partial initialisation.
     from repro.core.candidates import CandidateStatistics
 
-    return CandidateStatistics.from_file_sizes(
-        list(file_sizes),
+    if size_counts is None:
+        return CandidateStatistics.from_file_sizes(
+            list(file_sizes),
+            target_file_size=target_file_size,
+            partition_count=partition_count,
+            delete_file_count=delete_file_count,
+            created_at=created_at,
+            last_modified_at=last_modified_at,
+            quota_utilization=quota_utilization,
+        )
+    file_count, total_bytes, small_file_count, small_file_bytes = size_counts
+    return CandidateStatistics(
+        file_count=file_count,
+        total_bytes=total_bytes,
+        small_file_count=small_file_count,
+        small_file_bytes=small_file_bytes,
         target_file_size=target_file_size,
+        file_sizes=tuple(file_sizes),
         partition_count=partition_count,
         delete_file_count=delete_file_count,
         created_at=created_at,

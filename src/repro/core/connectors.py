@@ -488,33 +488,52 @@ class LstConnector(Connector):
 
         ``(file_sizes, target_file_size, partition_count,
         delete_file_count, created_at, last_modified_at,
-        quota_utilization, version)`` — everything
-        :func:`~repro.catalog.snapshot.build_candidate_statistics` needs,
-        plus the table's metadata version as the freshness token.  Both
-        the live statistics build and the worker-bound
-        :class:`~repro.catalog.snapshot.CatalogObservationSlice` come from
-        this method, so the two observation paths cannot drift.
+        quota_utilization, size_counts, version)`` — the arguments of
+        :func:`~repro.catalog.snapshot.build_candidate_statistics`, plus
+        the table's metadata version as the freshness token.  Both the
+        live statistics build and the worker-bound exports come from this
+        method, so the observation paths cannot drift.
+
+        Each key resolves its table once.  Table- and partition-scope rows
+        read the table's current
+        :class:`~repro.lst.snapshot.SizeSummary` — built once per snapshot
+        — so a row costs O(1) for a table that did not commit since its
+        last observation, and ``size_counts`` carries the summary's
+        memoised ``(file_count, total_bytes, small_file_count,
+        small_file_bytes)`` for the policy target.  Snapshot-scope rows
+        list their files through :meth:`files_for` (which stays the
+        per-file test oracle) and leave ``size_counts`` None.
         """
         table = self.table_for(key)
-        policy = self.catalog.policy(key.qualified_table)
-        files = self.files_for(key)
-        if key.scope is CandidateScope.PARTITION:
-            partition_count = 1
-            # Partition-scope candidates carry partition-level write
-            # recency: write-activity filters can then skip hot partitions
-            # while still compacting the table's cold ones.
-            last_modified = table.partition_last_modified(key.partition)
-        else:
+        target = self.catalog.policy(key.qualified_table).target_file_size
+        last_modified = table.last_modified_at
+        if key.scope is CandidateScope.SNAPSHOT:
+            files = self.files_for(key)
+            sizes = tuple(f.size_bytes for f in files)
             partition_count = max(len({f.partition for f in files}), 1)
-            last_modified = table.last_modified_at
+            counts = None
+        else:
+            summary = table.size_summary()
+            partition = key.partition if key.scope is CandidateScope.PARTITION else None
+            sizes = summary.sizes_in(partition)
+            counts = summary.counts(target, partition)
+            if partition is None:
+                partition_count = max(summary.partition_count, 1)
+            else:
+                partition_count = 1
+                # Partition-scope candidates carry partition-level write
+                # recency: write-activity filters can then skip hot
+                # partitions while still compacting the table's cold ones.
+                last_modified = table.partition_last_modified(partition)
         return (
-            tuple(f.size_bytes for f in files),
-            policy.target_file_size,
+            sizes,
+            target,
             partition_count,
             table.delete_file_count,
             table.created_at,
             last_modified,
             self._quota(key),
+            counts,
             table.version,
         )
 
@@ -558,7 +577,7 @@ class LstConnector(Connector):
             created_ats=tuple(row[4] for row in rows),
             last_modified_ats=tuple(row[5] for row in rows),
             quota_utilizations=tuple(row[6] for row in rows),
-            versions=tuple(row[7] for row in rows),
+            versions=tuple(row[8] for row in rows),
         )
         spec = ShardWorkSpec(
             shard_index=shard_index,

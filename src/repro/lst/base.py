@@ -29,7 +29,7 @@ from repro.errors import CommitConflictError, ValidationError
 from repro.lst.files import DataFile, DeleteFile, FileContent
 from repro.lst.partitioning import PartitionSpec
 from repro.lst.schema import Schema
-from repro.lst.snapshot import Snapshot
+from repro.lst.snapshot import SizeSummary, Snapshot
 from repro.simulation.clock import SimClock
 from repro.simulation.telemetry import Telemetry
 from repro.storage.filesystem import SimulatedFileSystem
@@ -391,6 +391,8 @@ class BaseTable(abc.ABC):
         self._next_file_id = 1
         self._next_snapshot_id = 1
         self._partition_last_modified: dict[tuple, float] = {}
+        #: The current snapshot's size summary (see :meth:`size_summary`).
+        self._size_summary: SizeSummary | None = None
         #: Observers invoked after every successful commit with
         #: ``(table, operation, added_data, added_deletes, removed_ids)``.
         #: The catalog installs one to publish ``table_commit`` trace events;
@@ -492,9 +494,8 @@ class BaseTable(abc.ABC):
         return list(snap.ordered_files) if snap else []
 
     def partitions(self) -> list[tuple]:
-        """Distinct partitions with live files."""
-        snap = self.current_snapshot()
-        return snap.partitions() if snap else []
+        """Distinct partitions with live files, sorted."""
+        return sorted(self.size_summary().partition_sizes)
 
     def small_file_count(self, threshold: int = SMALL_FILE_THRESHOLD) -> int:
         """Live data files below ``threshold`` bytes."""
@@ -502,6 +503,24 @@ class BaseTable(abc.ABC):
         if snap is None:
             return 0
         return sum(1 for f in snap.live_files if f.size_bytes < threshold)
+
+    def size_summary(self) -> SizeSummary:
+        """The current snapshot's :class:`~repro.lst.snapshot.SizeSummary`.
+
+        Built at most once per snapshot and kept in one slot keyed by the
+        snapshot's identity, so a commit, :meth:`restore_state` or anything
+        else that moves the current snapshot makes the next read rebuild
+        it; expiration never touches the current snapshot.  Only the
+        current snapshot is summarised: retained history costs nothing
+        beyond a stale slot, which the next read replaces.  The slot is replaced by one assignment of a fully built summary,
+        so concurrent observers see either the old or the new one.
+        """
+        snapshot = self.current_snapshot()
+        summary = self._size_summary
+        if summary is None or summary.snapshot is not snapshot:
+            summary = SizeSummary(snapshot)
+            self._size_summary = summary
+        return summary
 
     def partition_last_modified(self, partition: tuple) -> float:
         """Last *user-write* commit time touching ``partition``.
@@ -555,13 +574,15 @@ class BaseTable(abc.ABC):
                     key=lambda f: f.file_id,
                 )
             )
-        file_ids = {f.file_id for f in files}
-        deletes = tuple(
-            sorted(
-                (d for d in snap.delete_files if d.references & file_ids),
-                key=lambda d: d.file_id,
+        deletes: tuple[DeleteFile, ...] = ()
+        if snap.delete_files:
+            file_ids = {f.file_id for f in files}
+            deletes = tuple(
+                sorted(
+                    (d for d in snap.delete_files if d.references & file_ids),
+                    key=lambda d: d.file_id,
+                )
             )
-        )
         return ScanPlan(files=files, delete_files=deletes, manifests_read=len(snap.manifest_paths))
 
     # --- commit protocol ------------------------------------------------------------------
@@ -578,17 +599,31 @@ class BaseTable(abc.ABC):
         )
         added_data, added_deletes = self._materialize(txn._pending)
 
-        new_files = frozenset(f for f in old_files if f.file_id not in removed_ids)
-        new_files |= frozenset(added_data)
+        # Surviving files keep their stored hashes: set algebra on the old
+        # frozenset only hashes the commit's own (added/removed) files.
+        new_files = old_files
+        if removed_ids:
+            new_files = old_files.difference(txn._removed, txn._sources)
+            if len(old_files) - len(new_files) != len(removed_ids):
+                # Some removed id is not live under that exact file object:
+                # fall back to matching by id.
+                new_files = frozenset(
+                    f for f in old_files if f.file_id not in removed_ids
+                )
+        if added_data:
+            new_files = new_files | frozenset(added_data)
 
         # Delete files whose referenced data files were all removed are dropped
         # (a rewrite applies MoR deletes); others carry forward.
-        live_ids = frozenset(f.file_id for f in new_files)
-        surviving_deletes = frozenset(
-            d for d in old_deletes if d.references & live_ids
-        )
-        dropped_deletes = old_deletes - surviving_deletes
-        new_deletes = surviving_deletes | frozenset(added_deletes)
+        new_deletes = old_deletes
+        dropped_deletes: list[DeleteFile] = []
+        if old_deletes:
+            live_ids = frozenset(f.file_id for f in new_files)
+            dropped_deletes = [d for d in old_deletes if not d.references & live_ids]
+            if dropped_deletes:
+                new_deletes = old_deletes.difference(dropped_deletes)
+        if added_deletes:
+            new_deletes = new_deletes | frozenset(added_deletes)
 
         snapshot_id = self._next_snapshot_id
         self._next_snapshot_id += 1
@@ -740,13 +775,6 @@ class BaseTable(abc.ABC):
         if not concurrent:
             return
         sem = self.conflict_semantics
-        snap = self.current_snapshot()
-        live_ids = frozenset(f.file_id for f in snap.live_files) if snap else frozenset()
-        touched = txn._touched_partitions()
-
-        def overlapping(records: list[_CommitRecord]) -> bool:
-            return any(r.partitions & touched for r in records)
-
         if txn.operation == "append":
             if sem.append_fails_on_concurrent_rewrite and any(
                 r.is_rewrite for r in concurrent
@@ -757,6 +785,13 @@ class BaseTable(abc.ABC):
                 )
             self.telemetry.increment("lst.commit.refreshes")
             return
+
+        snap = self.current_snapshot()
+        live_ids = frozenset(f.file_id for f in snap.live_files) if snap else frozenset()
+        touched = txn._touched_partitions()
+
+        def overlapping(records: list[_CommitRecord]) -> bool:
+            return any(r.partitions & touched for r in records)
 
         if txn.operation in ("overwrite", "delete"):
             missing = [f for f in txn._removed if f.file_id not in live_ids]
@@ -875,9 +910,9 @@ class BaseTable(abc.ABC):
         if not ordered:
             return 0
         cutoff = older_than if older_than is not None else float("inf")
-        keep_tail = ordered[-retain_last:]
+        keep_tail = {s.snapshot_id for s in ordered[-retain_last:]}
         retained = [
-            s for s in ordered if s in keep_tail or s.timestamp > cutoff
+            s for s in ordered if s.snapshot_id in keep_tail or s.timestamp > cutoff
         ]
         retained_ids = {s.snapshot_id for s in retained}
         expired = [s for s in ordered if s.snapshot_id not in retained_ids]

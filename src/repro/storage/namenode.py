@@ -123,13 +123,14 @@ class NameNode:
             raise ValidationError(f"file size must be >= 0, got {size_bytes}")
         if path in self._files or path in self._dirs:
             raise FileExistsInStorageError(path)
-        for ancestor in parent_directories(path):
+        ancestors = parent_directories(path)
+        for ancestor in ancestors:
             if ancestor in self._files:
                 raise FileExistsInStorageError(
                     f"{path}: ancestor {ancestor!r} is a file"
                 )
 
-        new_dirs = [d for d in parent_directories(path) if d not in self._dirs]
+        new_dirs = [d for d in ancestors if d not in self._dirs]
         self._check_quotas(path, new_dirs)
         for directory in new_dirs:
             self._dirs.add(directory)

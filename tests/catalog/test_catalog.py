@@ -160,3 +160,48 @@ class TestPolicies:
         changed = base.with_overrides(compaction_enabled=False)
         assert not changed.compaction_enabled
         assert changed.target_file_size == base.target_file_size
+
+
+class TestQualifiedNameLookups:
+    """``load_table``/``policy`` resolve registered names in O(1); the index
+    must follow drops and re-creates, and bad names must fail as before."""
+
+    def test_dropped_name_no_longer_resolves(self, catalog, simple_schema):
+        catalog.create_database("db")
+        catalog.create_table("db.t", simple_schema)
+        catalog.drop_table("db.t")
+        with pytest.raises(NoSuchTableError):
+            catalog.load_table("db.t")
+        with pytest.raises(NoSuchTableError):
+            catalog.policy("db.t")
+        with pytest.raises(NoSuchTableError):
+            catalog.load_table(TableIdentifier("db", "t"))
+
+    def test_recreated_name_resolves_to_the_new_table(self, catalog, simple_schema):
+        catalog.create_database("db")
+        old = catalog.create_table("db.t", simple_schema)
+        catalog.drop_table(TableIdentifier("db", "t"))
+        policy = TablePolicy(target_file_size=64 * MiB)
+        new = catalog.create_table(TableIdentifier("db", "t"), simple_schema, policy=policy)
+        assert new is not old
+        assert catalog.load_table("db.t") is new
+        assert catalog.load_table(TableIdentifier("db", "t")) is new
+        assert catalog.policy("db.t") is policy
+
+    @pytest.mark.parametrize(
+        "name,message",
+        [
+            ("nodot", "expected 'db.table', got 'nodot'"),
+            ("a.b.c", "database/table names must not contain '.'"),
+        ],
+    )
+    def test_malformed_names_raise_validation_errors(
+        self, catalog, simple_schema, name, message
+    ):
+        catalog.create_database("db")
+        catalog.create_table("db.t", simple_schema)
+        with pytest.raises(ValidationError) as load_error:
+            catalog.load_table(name)
+        with pytest.raises(ValidationError) as policy_error:
+            catalog.policy(name)
+        assert str(load_error.value) == str(policy_error.value) == message

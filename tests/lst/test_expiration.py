@@ -101,3 +101,65 @@ class TestExpireSnapshots:
         # The current snapshot's planning inputs all still exist.
         for path in table.current_snapshot().manifest_paths:
             assert fs.namenode.exists(path)
+
+
+def _expected_expiration(table, older_than, retain_last):
+    """Retained ids and deleted paths by the documented rule, computed
+    independently: the last ``retain_last`` snapshots plus every snapshot
+    newer than ``older_than`` stay; files reachable only from expired
+    snapshots, their exclusive metadata and manifests no retained snapshot
+    lists go."""
+    ordered = table.snapshots()
+    cutoff = float("inf") if older_than is None else older_than
+    tail = ordered[len(ordered) - retain_last :]
+    retained = [
+        s for s in ordered if any(s is t for t in tail) or s.timestamp > cutoff
+    ]
+    expired = [s for s in ordered if all(s is not r for r in retained)]
+    reachable = {f.file_id for s in retained for f in s.live_files | s.delete_files}
+    manifests = {path for s in retained for path in s.manifest_paths}
+    paths = set()
+    for snap in expired:
+        paths |= {
+            f.path for f in snap.live_files | snap.delete_files if f.file_id not in reachable
+        }
+        paths |= set(snap.exclusive_metadata_paths)
+        paths |= {path for path in snap.manifest_paths if path not in manifests}
+    return [s.snapshot_id for s in retained], paths
+
+
+class TestExpirationOutcome:
+    @pytest.mark.parametrize("retain_last", [1, 3])
+    @pytest.mark.parametrize("cutoff", [None, 450.0])
+    def test_retained_ids_and_deleted_paths(self, table, fs, clock, retain_last, cutoff):
+        # Eight commits 100 s apart: appends, a row-delta, a rewrite and an
+        # overwrite, so expiration sees shared and exclusive files of every
+        # kind.
+        for i in range(4):
+            clock.advance_by(100)
+            fragment_table(table, partitions=[(i % 2,)], files_per_partition=2)
+        clock.advance_by(100)
+        delta = table.new_row_delta()
+        delta.add_deletes(MiB, [f for f in table.live_files() if f.partition == (0,)][:2])
+        delta.commit()
+        clock.advance_by(100)
+        sources = [f for f in table.live_files() if f.partition == (0,)]
+        rewrite = table.new_rewrite()
+        rewrite.rewrite(sources, [sum(f.size_bytes for f in sources)])
+        rewrite.commit()
+        clock.advance_by(100)
+        victim = next(f for f in table.live_files() if f.partition == (1,))
+        overwrite = table.new_overwrite()
+        overwrite.delete_file(victim)
+        overwrite.add_file(victim.size_bytes, partition=(1,))
+        overwrite.commit()
+        clock.advance_by(100)
+        fragment_table(table, partitions=[(1,)], files_per_partition=1)
+
+        retained_ids, expected_paths = _expected_expiration(table, cutoff, retain_last)
+        present = {info.path for info in fs.namenode.files_under("/")}
+        deleted = table.expire_snapshots(older_than=cutoff, retain_last=retain_last)
+        gone = present - {info.path for info in fs.namenode.files_under("/")}
+        assert [s.snapshot_id for s in table.snapshots()] == retained_ids
+        assert gone == expected_paths & present
+        assert deleted == len(gone) > 0

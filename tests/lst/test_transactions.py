@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from repro.errors import ValidationError
@@ -87,6 +89,24 @@ class TestOverwrite:
         assert table.data_file_count == 20 - 3 + 1
         live_ids = {f.file_id for f in table.live_files()}
         assert not any(v.file_id in live_ids for v in victims)
+
+    def test_removals_match_live_files_by_id(self, fragmented_table):
+        """A staged removal removes the live file with its id even when the
+        staged object differs from it; ids that are not live are ignored."""
+        table = fragmented_table
+        first, second = table.live_files()[:2]
+        lookalike = dataclasses.replace(first, record_count=first.record_count + 1)
+        txn = table.new_overwrite()
+        txn.delete_file(lookalike)
+        txn.delete_file(second)
+        txn.commit()
+        gone = table.new_overwrite()
+        gone.delete_file(second)  # already removed
+        snapshot = gone.commit()
+        live_ids = {f.file_id for f in table.live_files()}
+        assert first.file_id not in live_ids and second.file_id not in live_ids
+        assert table.data_file_count == 18
+        assert snapshot.summary["removed-data-files"] == 1
 
 
 class TestRowDelta:
