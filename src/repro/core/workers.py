@@ -847,6 +847,7 @@ class WorkerPool:
         # Snapshot process children before shutdown forgets them, so we
         # can join (and if necessary kill) stragglers ourselves.
         children = list(getattr(executor, "_processes", {}).values())
+        manager = getattr(executor, "_executor_manager_thread", None)
         executor.shutdown(wait=False, cancel_futures=True)
         deadline = time.monotonic() + timeout
         for child in children:
@@ -858,6 +859,13 @@ class WorkerPool:
             if child.is_alive():
                 child.kill()
                 child.join(timeout=1.0)
+        # The executor's manager thread reaps the same children with a
+        # blocking waitpid; when it wins that race our join sees ECHILD and
+        # returns before the exit code is recorded, so the child lingers in
+        # multiprocessing.active_children().  Once the children are gone the
+        # manager thread finishes its own joins and exits: wait for it.
+        if manager is not None:
+            manager.join(timeout=1.0)
         self._dispose_resources(resources)
 
     @staticmethod

@@ -96,7 +96,11 @@ def render_prometheus(telemetry: Telemetry) -> str:
     collide with a counter) are skipped with an explanatory comment rather
     than emitting an invalid exposition.
     """
-    snap = telemetry.snapshot()
+    return _render_snapshot(telemetry.snapshot())
+
+
+def _render_snapshot(snap: dict) -> str:
+    """:func:`render_prometheus` over an already-taken ``snapshot()``."""
     lines: list[str] = []
     emitted: set[str] = set()
 
@@ -176,7 +180,11 @@ class MetricsExporter:
         self.exports = 0
         self.export_errors = 0
         self._clock = clock
-        self._snapshots: deque[dict] = deque(maxlen=SNAPSHOT_RING)
+        # metrics.jsonl lines, each encoded once when its snapshot is taken.
+        self._snapshots: deque[str] = deque(maxlen=SNAPSHOT_RING)
+        # One export at a time: the periodic thread and stop()'s final
+        # export would otherwise share the same <file>.tmp.<pid> names.
+        self._export_lock = threading.Lock()
         self._stop = threading.Event()
         self._thread: threading.Thread | None = None
 
@@ -206,34 +214,31 @@ class MetricsExporter:
 
     def export_once(self) -> dict[str, str]:
         """Write every export file now; returns ``{kind: path}``."""
+        with self._export_lock:
+            return self._export_locked()
+
+    def _export_locked(self) -> dict[str, str]:
         os.makedirs(self.out_dir, exist_ok=True)
         written: dict[str, str] = {}
 
-        _atomic_write(self.prom_path, render_prometheus(self.telemetry))
+        snap = self.telemetry.snapshot()
+        _atomic_write(self.prom_path, _render_snapshot(snap))
         written["prom"] = self.prom_path
 
-        snap = self.telemetry.snapshot()
-        self._snapshots.append(
-            {
-                "ts": self._clock(),
-                "counters": snap["counters"],
-                "series_last": {
-                    name: (values[-1] if values else None)
-                    for name, (_, values) in snap["series"].items()
-                },
-                "histograms": {
-                    name: hist.summary()
-                    for name, hist in snap["histograms"].items()
-                },
-            }
-        )
-        _atomic_write(
-            self.jsonl_path,
-            "".join(
-                json.dumps(_json_safe(entry), sort_keys=True) + "\n"
-                for entry in self._snapshots
-            ),
-        )
+        entry = {
+            "ts": self._clock(),
+            "counters": snap["counters"],
+            "series_last": {
+                name: (values[-1] if values else None)
+                for name, (_, values) in snap["series"].items()
+            },
+            "histograms": {
+                name: hist.summary()
+                for name, hist in snap["histograms"].items()
+            },
+        }
+        self._snapshots.append(json.dumps(_json_safe(entry), sort_keys=True) + "\n")
+        _atomic_write(self.jsonl_path, "".join(self._snapshots))
         written["jsonl"] = self.jsonl_path
 
         if self.tracer is not None:

@@ -182,6 +182,10 @@ class Tracer:
         self._clock = clock
         self._lock = threading.Lock()
         self._finished: list[Span] = []
+        # (jsonl line, chrome event) per span, covering a prefix of
+        # _finished: spans are never mutated once collected, so each is
+        # encoded once and every later dump only joins strings.
+        self._encoded: list[tuple[str, str]] = []
         self._local = threading.local()
 
     # --- span lifecycle -------------------------------------------------------
@@ -270,20 +274,35 @@ class Tracer:
         """Drop collected spans (open spans on thread stacks are kept)."""
         with self._lock:
             self._finished.clear()
+            self._encoded.clear()
+
+    def _encodings(self) -> list[tuple[str, str]]:
+        """Every collected span's encodings, encoding only the new ones."""
+        with self._lock:
+            encoded = self._encoded
+            for span in self._finished[len(encoded):]:
+                encoded.append(
+                    (
+                        json.dumps(span.to_dict(), sort_keys=True),
+                        json.dumps(span.to_chrome_event()),
+                    )
+                )
+            return list(encoded)
 
     def dump_jsonl(self, path: str) -> str:
         """Write one span per line as JSON; atomic replace. Returns path."""
-        lines = [json.dumps(span.to_dict(), sort_keys=True) for span in self.finished()]
+        lines = [line for line, _ in self._encodings()]
         _atomic_write(path, "\n".join(lines) + ("\n" if lines else ""))
         return path
 
     def dump_chrome(self, path: str) -> str:
-        """Write Chrome ``trace_event`` JSON (Perfetto-openable); atomic."""
-        payload = {
-            "displayTimeUnit": "ms",
-            "traceEvents": [span.to_chrome_event() for span in self.finished()],
-        }
-        _atomic_write(path, json.dumps(payload))
+        """Write Chrome ``trace_event`` JSON (Perfetto-openable); atomic.
+
+        Byte-identical to ``json.dumps({"displayTimeUnit": "ms",
+        "traceEvents": [...]})`` with default separators.
+        """
+        events = ", ".join(event for _, event in self._encodings())
+        _atomic_write(path, '{"displayTimeUnit": "ms", "traceEvents": [' + events + "]}")
         return path
 
 
