@@ -8,6 +8,8 @@ production deployment feeds into its quota-aware MOOP weight (§7).
 
 from __future__ import annotations
 
+import threading
+import weakref
 from dataclasses import dataclass, field
 
 from repro.errors import (
@@ -67,6 +69,11 @@ class Catalog:
             ``table.version`` freshness token) from a hook installed on
             every table it creates.  A bus can also be attached later via
             :meth:`attach_taps`.
+
+    Every change to a table's observable state — a commit, a
+    :meth:`~repro.lst.base.BaseTable.restore_state`, a policy change, a
+    create or a drop — reaches the listeners registered through
+    :meth:`subscribe_changes`; connectors build their change feeds on it.
     """
 
     def __init__(
@@ -87,6 +94,50 @@ class Catalog:
         #: Qualified ``'db.table'`` name → table, for O(1) string lookups.
         self._tables_by_name: dict[str, BaseTable] = {}
         self._policies: dict[str, TablePolicy] = {}
+        #: Weak references to change listeners (see :meth:`subscribe_changes`),
+        #: replaced whole on every (un)subscription so the per-commit fan-out
+        #: reads one immutable tuple without locking.
+        self._change_listeners: tuple[weakref.ref, ...] = ()
+        self._listeners_lock = threading.Lock()
+
+    # --- change feed -----------------------------------------------------------------
+
+    def subscribe_changes(self, listener) -> None:
+        """Deliver every change to a table's observable state to ``listener``.
+
+        ``listener.table_changed(name, membership)`` is called with the
+        table's ``'db.table'`` name after each commit,
+        :meth:`~repro.lst.base.BaseTable.restore_state` and
+        :meth:`set_policy` (``membership`` False), and after each
+        :meth:`create_table` and :meth:`drop_table` (``membership`` True:
+        the set of tables changed).  Listeners are held weakly, so a
+        discarded listener stops receiving events and is forgotten once
+        it is collected.
+        """
+        with self._listeners_lock:
+            self._change_listeners += (weakref.ref(listener, self._forget_listener),)
+
+    def _forget_listener(self, ref: weakref.ref) -> None:
+        with self._listeners_lock:
+            self._change_listeners = tuple(
+                r for r in self._change_listeners if r is not ref
+            )
+
+    def _table_changed(self, name: str, membership: bool = False) -> None:
+        for ref in self._change_listeners:  # repro-lint: disable=RL001 -- reads one immutable tuple; writers replace it whole under the lock
+            listener = ref()
+            if listener is not None:
+                listener.table_changed(name, membership)
+
+    def _install_feed_hooks(self, table: BaseTable, name: str) -> None:
+        def feed_commit(table, operation, added_data, added_deletes, removed_ids):
+            self._table_changed(name)
+
+        def feed_restore(table):
+            self._table_changed(name)
+
+        table.commit_hooks.append(feed_commit)
+        table.restore_hooks.append(feed_restore)
 
     # --- event taps --------------------------------------------------------------
 
@@ -150,7 +201,12 @@ class Catalog:
         instances sharing the lock directory are attributed correctly;
         :func:`~repro.core.locks.verify_audit` then proves the
         no-double-compaction invariant over the combined log.
+
+        Re-attaching the attached manager is a no-op: every table already
+        carries the hook, and :meth:`create_table` installs it on new ones.
         """
+        if manager is self.lock_manager:
+            return
         self.lock_manager = manager
         for database in self._databases.values():
             for table in database.tables.values():
@@ -281,6 +337,7 @@ class Catalog:
         self._tables_by_name[str(identifier)] = table
         self._policies[str(identifier)] = policy
         self.telemetry.increment("catalog.tables.created")
+        self._install_feed_hooks(table, str(identifier))
         if self.lock_manager is not None:
             self._install_lock_hook(table)
         if self.taps is not None:
@@ -299,6 +356,7 @@ class Catalog:
                         "policy": serialize_policy(policy),
                     },
                 )
+        self._table_changed(str(identifier), membership=True)
         return table
 
     def load_table(self, identifier: TableIdentifier | str) -> BaseTable:
@@ -338,6 +396,7 @@ class Catalog:
             self.fs.delete_file(info.path)
         self._policies.pop(str(identifier), None)
         self.telemetry.increment("catalog.tables.dropped")
+        self._table_changed(str(identifier), membership=True)
 
     def table_exists(self, identifier: TableIdentifier | str) -> bool:
         """Whether a table is registered."""
@@ -393,3 +452,4 @@ class Catalog:
         if key not in self._policies:
             raise NoSuchTableError(key)
         self._policies[key] = policy
+        self._table_changed(key)

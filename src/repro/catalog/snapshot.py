@@ -167,9 +167,10 @@ class CatalogObservationSlice:
         last_modified_ats: last commit times (partition-granular for
             partition-scope candidates).
         quota_utilizations: owning database's UsedQuota/TotalQuota.
-        versions: table metadata versions at capture time — the freshness
-            tokens the worker's cache delta stores, so cached entries
-            self-heal exactly when the table commits again.
+        versions: the keys' freshness tokens at capture time (the
+            connector's feed epochs) — what the worker's cache delta
+            stores, so cached entries turn stale exactly when the table
+            changes again.
     """
 
     file_sizes: tuple[tuple[int, ...], ...]

@@ -250,6 +250,11 @@ class Candidate:
     statistics: CandidateStatistics | None = None
     traits: dict[str, float] = field(default_factory=dict)
     score: float | None = None
+    #: Stamp of the :class:`~repro.core.traits.TraitRegistry` that computed
+    #: ``traits`` from the current ``statistics`` (0 = none).  Lets a
+    #: candidate reused across cycles skip orientation only under the
+    #: registry that oriented it.
+    oriented_by: int = field(default=0, compare=False, repr=False)
 
     def trait(self, name: str) -> float:
         """The value of trait ``name``.

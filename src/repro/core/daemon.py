@@ -47,6 +47,7 @@ service; :class:`AutoCompDaemon` is that run-forever layer over
 
 from __future__ import annotations
 
+import gc
 import json
 import os
 import threading
@@ -509,6 +510,12 @@ class AutoCompDaemon:
             finally:
                 self.locks.release_all()
                 self.locks.context = None
+                # A cycle that serves clean tables from the connector's
+                # change feed churns too few objects to trigger the
+                # young-generation collection itself; collect at the cycle
+                # boundary, so that pause does not fall on whatever
+                # allocates next (an ingest commit in the same process).
+                gc.collect(0)
             self.cycles_run += 1
             return report
         finally:

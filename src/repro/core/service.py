@@ -106,9 +106,11 @@ def openhouse_pipeline(
             conflicts they cause).  0 disables the filter.
         scheduler: override the default partition-serial scheduler.
         n_shards: shard count.
-        stats_cache: optional incremental-observation cache
+        stats_cache: optional configured cache
             (:class:`~repro.core.statscache.StatsCache` or
-            :class:`~repro.core.statscache.IndexedCandidateCache`).
+            :class:`~repro.core.statscache.IndexedCandidateCache`) on top
+            of the connector's change feed, which observes incrementally
+            without one.
         selection / workers / worker_decide / transport / max_workers:
             forwarded to :class:`~repro.core.sharding.ShardedPipeline`
             when ``n_shards > 1`` (``transport=None`` negotiates the

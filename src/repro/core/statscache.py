@@ -13,9 +13,9 @@ learns about writes:
   notification inbox (§5's decoupled optimize-after-write hooks) maps
   directly onto :meth:`StatsCache.invalidate`;
 * **version tokens** — connectors that can read a cheap per-table change
-  counter (e.g. the fleet model's ``stats_version`` array, or an LST
-  table's metadata sequence number) pass it to :meth:`StatsCache.get`; a
-  mismatch evicts the entry without any event plumbing;
+  counter (e.g. the fleet model's ``stats_version`` array, or the LST
+  connector's change-feed epoch) pass it to :meth:`StatsCache.get`; a
+  mismatch evicts the entry;
 * **TTL fallback** — entries older than ``ttl_s`` expire, bounding the
   staleness of slowly varying inputs (such as the §7 quota utilisation,
   which shifts as *other* tables in the database grow) even when no write
@@ -58,7 +58,9 @@ class StatsCache:
             handful of commits since its last observation has nearly
             unchanged statistics, so deployments can trade a bounded
             observation error for skipping the re-collection entirely.
-            Non-integer tokens always require exact equality.
+            Non-integer tokens always require exact equality.  The LST
+            connector's tokens are change-feed epochs, which advance with
+            an event on *any* table, so there the slack counts feed events.
 
     Attributes:
         hits: lookups served from the cache.
@@ -254,9 +256,9 @@ class IndexedCandidateCache:
     evicts), and a TTL fallback bounding the staleness of slowly varying
     statistics such as quota utilisation.
 
-    Candidate reuse makes entries private to one pipeline's configuration:
-    a cache must not be shared between pipelines with different trait
-    registries.
+    Reused candidates carry the stamp of the trait registry that oriented
+    them (``Candidate.oriented_by``), so pipelines with different trait
+    registries may share a cache: each re-orients what another oriented.
 
     Args:
         ttl_s: maximum entry age in seconds (``math.inf`` disables).

@@ -27,6 +27,7 @@ including connector-specific ``custom`` entries (NFR1 extensibility; see
 from __future__ import annotations
 
 import abc
+import itertools
 
 import numpy as np
 
@@ -307,11 +308,24 @@ class DeleteFileCountTrait(Trait):
         return block.column("delete_file_count").astype(np.float64)
 
 
+#: Source of registry stamps (see :attr:`TraitRegistry.stamp`).
+_STAMPS = itertools.count(1)
+
+
 class TraitRegistry:
-    """An ordered set of traits applied in the orient phase."""
+    """An ordered set of traits applied in the orient phase.
+
+    Attributes:
+        stamp: process-unique identity of this registry's trait set,
+            renewed by :meth:`register`; :meth:`annotate_all` stamps it on
+            the candidates it orients.  A pickled copy (a shard worker's)
+            keeps the stamp, so candidates it orients count as this
+            registry's.
+    """
 
     def __init__(self, traits: list[Trait] | None = None) -> None:
         self._traits: dict[str, Trait] = {}
+        self.stamp = next(_STAMPS)
         for trait in traits or []:
             self.register(trait)
 
@@ -324,6 +338,8 @@ class TraitRegistry:
         if trait.name in self._traits:
             raise ValidationError(f"duplicate trait name {trait.name!r}")
         self._traits[trait.name] = trait
+        # A changed trait set is a different orientation.
+        self.stamp = next(_STAMPS)
 
     def get(self, name: str) -> Trait:
         """Look up a registered trait by name.
@@ -344,24 +360,33 @@ class TraitRegistry:
     def annotate_all(self, candidates: list[Candidate], only_missing: bool = False) -> None:
         """Compute every registered trait on every candidate.
 
+        Every annotated candidate is stamped with this registry's
+        :attr:`stamp` (``candidate.oriented_by``).
+
         Args:
-            only_missing: skip candidates that already carry every
-                registered trait.  Only safe when the caller guarantees
-                existing trait values were computed by this registry from
-                the candidate's *current* statistics — the contract of
-                candidate-reusing connectors
-                (:attr:`~repro.core.connectors.Connector.reuses_candidates`).
+            only_missing: skip candidates this registry already oriented
+                (stamped with :attr:`stamp`), and unstamped candidates that
+                already carry every registered trait (rebuilt from a trait
+                matrix).  Candidates another registry oriented lose those
+                traits and are oriented afresh, so connectors that reuse
+                candidates across cycles
+                (:attr:`~repro.core.connectors.Connector.reuses_candidates`)
+                can serve pipelines with different registries.
         """
         traits = list(self._traits.values())
         names = list(self._traits)
+        stamp = self.stamp
         if only_missing:
-            # Reused candidates carry the full registered set; fresh ones
-            # have empty traits (cheap falsy check).
-            todo = [
-                c
-                for c in candidates
-                if not (c.traits and all(name in c.traits for name in names))
-            ]
+            todo = []
+            for c in candidates:
+                oriented_by = c.oriented_by
+                if oriented_by == stamp and c.traits:
+                    continue
+                if oriented_by:
+                    c.traits = {}
+                elif c.traits and all(name in c.traits for name in names):
+                    continue
+                todo.append(c)
         else:
             todo = list(candidates)
         if not todo:
@@ -376,6 +401,7 @@ class TraitRegistry:
             for candidate in todo:
                 for trait in traits:
                     trait.annotate(candidate)
+                candidate.oriented_by = stamp
             return
         statistics: list[CandidateStatistics] = []
         for candidate in todo:
@@ -386,6 +412,8 @@ class TraitRegistry:
             name = trait.name
             for candidate, value in zip(todo, trait.compute_batch(statistics)):
                 candidate.traits[name] = value
+        for candidate in todo:
+            candidate.oriented_by = stamp
 
     def compute_columnar_matrix(self, block: ColumnarBlock) -> np.ndarray | None:
         """Every registered trait over a columnar block, as an (n, k) matrix.

@@ -173,6 +173,11 @@ class ColumnarTransport(WorkerTransport):
 
     def attach_decide(self, spec, placed, policy, selector, stats_filters, trait_filters):
         names = tuple(spec.traits.names())
+        if self.connector.reuses_candidates:
+            # Reused hits ride the payload as trait rows the worker trusts:
+            # orient any this registry has not (a quota re-stamp dropped
+            # its traits, or another registry oriented it).
+            spec.traits.annotate_all([c for c in placed if c is not None], only_missing=True)
         payload = ColumnarHitPayload.try_pack(placed, names)
         if payload is not None and self._pool is not None:
             self._pool.track_resource(payload)
@@ -192,8 +197,11 @@ class ColumnarTransport(WorkerTransport):
         names = payload.trait_names
         statistics = spec.snapshot.statistics_batch()  # type: ignore[attr-defined]
         rows = payload.matrix.tolist()
+        stamp = spec.traits.stamp
         return [
-            Candidate(key=key, statistics=stats, traits=dict(zip(names, row)))
+            Candidate(
+                key=key, statistics=stats, traits=dict(zip(names, row)), oriented_by=stamp
+            )
             for key, stats, row in zip(spec.keys, statistics, rows)
         ]
 

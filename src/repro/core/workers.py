@@ -246,7 +246,7 @@ class ShardWorkSpec:
             object with ``__len__`` and ``statistics(i) ->
             CandidateStatistics`` (e.g.
             :class:`repro.catalog.snapshot.CatalogObservationSlice`, which
-            carries per-key file sizes and ``table.version`` tokens).
+            carries per-key file sizes and feed-epoch tokens).
         decide: when set, the worker runs the full local decide phase
             after observe/orient and returns a :class:`ShardDecision`
             instead of the observed candidates (see the module docstring

@@ -334,6 +334,7 @@ class FleetConnector(Connector):
                 # traits dropped so orient recomputes them.
                 stale.statistics = stats
                 stale.traits.clear()
+                stale.oriented_by = 0
                 candidate = stale
             else:
                 candidate = Candidate(key=key, statistics=stats)

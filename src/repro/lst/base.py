@@ -398,6 +398,10 @@ class BaseTable(abc.ABC):
         #: The catalog installs one to publish ``table_commit`` trace events;
         #: aborted/conflicted transactions never reach a hook.
         self.commit_hooks: list = []
+        #: Observers invoked with ``(table)`` after :meth:`restore_state`
+        #: loads a checkpoint outside the commit protocol.  The catalog
+        #: installs one to feed connectors' change feeds.
+        self.restore_hooks: list = []
 
     # --- format hooks -----------------------------------------------------------
 
@@ -769,6 +773,8 @@ class BaseTable(abc.ABC):
             )
             self._snapshots[snapshot.snapshot_id] = snapshot
             self._current_id = snapshot.snapshot_id
+        for hook in list(self.restore_hooks):
+            hook(self)
 
     def _validate(self, txn: Transaction) -> None:
         concurrent = self._commit_log[txn.base_version :]

@@ -271,13 +271,18 @@ class TestDenseLstCache:
         from repro.core.statscache import IndexedCandidateCache
 
         connector = LstConnector(populated_catalog)
-        assert not connector.reuses_candidates
-        connector.stats_cache = IndexedCandidateCache()
+        # Without a configured cache the private exact store reuses
+        # candidates already.
+        assert connector.reuses_candidates
+        cache = IndexedCandidateCache()
+        connector.stats_cache = cache
         assert connector.reuses_candidates
         keys = connector.list_candidates("table")
         first = connector.observe(keys)
         second = connector.observe(keys)
         assert all(a is b for a, b in zip(first, second))
+        # The assigned cache, not the private store, served the hits.
+        assert (cache.misses, cache.hits) == (len(keys), len(keys))
 
 
 class TestLstWorkerObservation:
@@ -350,12 +355,15 @@ class TestLstWorkerObservation:
         connector, cache = self._dense(populated_catalog)
         keys = connector.list_candidates("table")
         connector.observe(keys)
+        stored = list(cache.tokens)
         fragment_table(populated_catalog.load_table("db1.flat"), partitions=[()])
         placed, spec = connector.export_shard_work(keys, 0, TraitRegistry([]))
         assert spec is not None
         assert [str(k) for k in spec.keys] == ["db1.flat"]
-        # The freshness token is the table's post-write metadata version.
-        assert spec.tokens == (populated_catalog.load_table("db1.flat").version,)
+        # The freshness token is the write's feed epoch: newer than every
+        # token stored before it.
+        (token,) = spec.tokens
+        assert token > max(stored)
 
     def test_sparse_observe_self_heals_on_version_bump(self, populated_catalog):
         from repro.core.statscache import StatsCache

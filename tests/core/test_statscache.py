@@ -376,12 +376,15 @@ class TestReviewRegressions:
         connector = LstConnector(catalog, stats_cache=cache)
         key = CandidateKey("db", "a", CandidateScope.TABLE)
         before = connector.collect_statistics(key)
+        quota_before = before.quota_utilization
         fragment_table(b, partitions=[(0,)], files_per_partition=50)
         cached = connector.collect_statistics(key)
-        assert cached is before  # still a cache hit...
+        assert cache.hits == 1  # still a cache hit...
         fresh = LstConnector(catalog).collect_statistics(key)
-        assert fresh.quota_utilization > 0.0  # the drift really happened
-        assert cached.quota_utilization == fresh.quota_utilization  # ...with fresh quota
+        assert fresh.quota_utilization > quota_before  # the drift really happened
+        assert cached == fresh  # ...served with the fresh quota
+        # Re-stamped by replacement: the frozen cached object is untouched.
+        assert before.quota_utilization == quota_before
 
     def test_compaction_self_invalidates_the_cache(
         self, catalog, simple_schema, monthly_spec, compaction_cluster
